@@ -19,7 +19,7 @@
 //! cannot beat serial on threads alone — the measured win comes from
 //! the kernels and the cache, and grows with available cores.
 //!
-//! Steady-state streaming inference is measured separately per window
+//! Steady-state per-window inference is measured separately per window
 //! length into `detector.infer_w{200,300,400}_seconds` histograms
 //! (p50/p95/p99 latency-gated by benchdiff's `*_seconds` rule).
 //!
@@ -32,14 +32,16 @@
 //! so both gates diff against their own baselines).
 
 use prefall_bench::telemetry_out;
-use prefall_core::detector::{DetectorConfig, GuardConfig, StreamingDetector};
+use prefall_core::detector::Engine;
 use prefall_core::experiment::{Experiment, ExperimentConfig, ExperimentReport};
 use prefall_core::models::ModelKind;
 use prefall_core::pipeline::PipelineConfig;
 use prefall_dsp::segment::Overlap;
-use prefall_dsp::stats::Normalizer;
 use prefall_nn::kernels::set_reference_kernels;
+use prefall_nn::loss::sigmoid;
+use prefall_nn::workspace::Workspace;
 use prefall_telemetry::{Histogram, JsonValue, NoopRecorder, Recorder, TelemetryEnv, Value};
+use std::hint::black_box;
 use std::time::Instant;
 
 /// The output file; never clobbers `BENCH_telemetry.json`.
@@ -62,47 +64,49 @@ fn grid_config() -> ExperimentConfig {
     config.with_env_overrides()
 }
 
-/// Streams synthetic samples through a fresh detector at `window_ms`
-/// and returns the wall time of each of the [`INFER_WINDOWS`] pushes
-/// that completed a hop (segment assembly + normalise + inference).
-/// With `reference` set, the naive seed kernels and the allocating
-/// inference path are forced for the duration.
-fn measure_infer(window_ms: f64, reference: bool) -> Vec<f64> {
-    let det_cfg = DetectorConfig {
-        pipeline: PipelineConfig::paper(window_ms, Overlap::Half),
-        threshold: 1.1, // never trigger: measure pure inference
-        consecutive: 1,
-        guard: GuardConfig::default(),
-    };
-    let window = det_cfg.pipeline.segmentation.window();
-    let net = ModelKind::ProposedCnn
+/// Times [`INFER_WINDOWS`] classifications of one synthetic
+/// `window_ms` segment after a warm-up, returning the per-window wall
+/// times and the score's bits. Optimised: the detector engine's
+/// allocation-free `&self` call on a warm workspace — what every
+/// streaming session runs per window. With `reference` set: the seed
+/// path, the allocating `Network::forward` with the naive kernels
+/// forced on, which no streaming session runs any more.
+fn measure_infer(window_ms: f64, reference: bool) -> (Vec<f64>, u32) {
+    let window = PipelineConfig::paper(window_ms, Overlap::Half)
+        .segmentation
+        .window();
+    let mut net = ModelKind::ProposedCnn
         .build(window, 9, 1)
         .expect("model builds");
-    let mut det = StreamingDetector::new(net, Normalizer::identity(9), det_cfg).expect("detector");
-    set_reference_kernels(reference);
-    // Warm up: fill the window and classify at least once so the
-    // workspace and segment scratch are sized.
-    let mut classified = 0usize;
-    for _ in 0..2 * window {
-        if det
-            .push_sample([0.01, -0.02, 1.0], [0.0, 0.1, 0.0])
-            .is_some()
-        {
-            classified += 1;
-        }
+    let seg: Vec<f32> = (0..window * 9).map(|i| (i as f32 * 0.37).sin()).collect();
+    if reference {
+        set_reference_kernels(true);
+        let timed = time_windows(|| sigmoid(net.forward(black_box(&seg))[0]));
+        set_reference_kernels(false);
+        timed
+    } else {
+        let engine = Engine::from(net);
+        let mut ws = Workspace::new();
+        time_windows(|| {
+            engine
+                .try_predict_proba_shared(black_box(&seg), &mut ws)
+                .expect("finite segment, supported architecture")
+        })
     }
-    assert!(classified > 0, "warm-up must classify at least once");
-    let mut samples = Vec::with_capacity(INFER_WINDOWS);
-    while samples.len() < INFER_WINDOWS {
-        let t0 = Instant::now();
-        let p = det.push_sample([0.01, -0.02, 1.0], [0.0, 0.1, 0.0]);
-        let elapsed = t0.elapsed().as_secs_f64();
-        if p.is_some() {
-            samples.push(elapsed);
-        }
-    }
-    set_reference_kernels(false);
-    samples
+}
+
+/// Runs `infer` once to warm up (sizes the workspace, faults the
+/// weights in), then times [`INFER_WINDOWS`] calls.
+fn time_windows(mut infer: impl FnMut() -> f32) -> (Vec<f64>, u32) {
+    let bits = infer().to_bits();
+    let samples = (0..INFER_WINDOWS)
+        .map(|_| {
+            let t0 = Instant::now();
+            black_box(infer());
+            t0.elapsed().as_secs_f64()
+        })
+        .collect();
+    (samples, bits)
 }
 
 fn median(samples: &[f64]) -> f64 {
@@ -187,13 +191,12 @@ fn real_main() -> Result<(), String> {
     registry.gauge_set("perf.threads", threads as f64);
     registry.gauge_set("perf.grid_cells", report_b.cells.len() as f64);
 
-    // Steady-state streaming inference per window length: fill the
-    // ring, then time only the pushes that complete a hop (those run
-    // the full segment-assembly + normalise + inference path). Each
-    // window is measured twice — optimised (fused workspace kernels)
-    // and reference (the allocating seed path) — and the per-window
-    // median ratio is the kernel speedup, which unlike the grid wall
-    // ratio does not depend on how many cores the runner has.
+    // Steady-state per-window inference per window length, measured
+    // twice — optimised (fused workspace kernels) and reference (the
+    // allocating seed path) — on the same segment, with the same score
+    // bits. The per-window median ratio is the kernel speedup, which
+    // unlike the grid wall ratio does not depend on how many cores the
+    // runner has.
     rec.event(
         "bench.phase",
         &[
@@ -206,8 +209,14 @@ fn real_main() -> Result<(), String> {
     for &window_ms in &[200.0, 300.0, 400.0] {
         let name = format!("detector.infer_w{}_seconds", window_ms as u32);
         registry.register_histogram(&name, fine.clone());
-        let fused = measure_infer(window_ms, false);
-        let reference = measure_infer(window_ms, true);
+        let (fused, fused_bits) = measure_infer(window_ms, false);
+        let (reference, reference_bits) = measure_infer(window_ms, true);
+        if fused_bits != reference_bits {
+            return Err(format!(
+                "INFERENCE DIVERGED at {window_ms} ms — the engine's score differs \
+                 from the reference forward pass; refusing to report a speedup"
+            ));
+        }
         for &s in &fused {
             registry.observe(&name, s);
         }

@@ -42,22 +42,15 @@ use prefall_core::detector::{GuardConfig, GuardStatus};
 use prefall_nn::network::BranchStat;
 use prefall_telemetry::JsonValue;
 
+/// The workspace checksum, re-exported where the PFBB format uses it.
+pub use prefall_core::fnv1a64;
+
 const MAGIC: &[u8; 4] = b"PFBB";
 const VERSION: u32 = 1;
 
 /// Most modality branches a [`WindowRecord`] can carry (the paper's
 /// CNN has three: accel, gyro, Euler).
 pub const MAX_BRANCHES: usize = 4;
-
-/// FNV-1a 64-bit hash — tiny, dependency-free, stable across builds.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// What flipped the ring buffer into a dump.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -887,13 +880,5 @@ mod tests {
         let back = IncidentDump::from_hex(hex).unwrap();
         assert_eq!(back.to_bytes(), d.to_bytes());
         assert!(d.to_json(false).get("dump_hex").is_none());
-    }
-
-    #[test]
-    fn fnv_matches_reference_vectors() {
-        // Published FNV-1a 64 test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf29ce484222325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63dc4c8601ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
     }
 }

@@ -220,12 +220,17 @@ mod tests {
     use prefall_imu::dataset::Dataset;
     use prefall_telemetry::Registry;
 
+    /// Serialises the tests that read [`CACHE_ENV`] against the one
+    /// that sets it: the environment is process-wide.
+    static ENV_LOCK: Mutex<()> = Mutex::new(());
+
     fn dataset() -> Dataset {
         Dataset::combined_scaled(1, 1, 42).unwrap()
     }
 
     #[test]
     fn hit_returns_the_same_set_without_recompute() {
+        let _env = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let ds = dataset();
         let p = Pipeline::new(PipelineConfig::paper(200.0, Overlap::Half)).unwrap();
         let cache = SegmentCache::default();
@@ -243,6 +248,7 @@ mod tests {
 
     #[test]
     fn different_configs_get_different_entries() {
+        let _env = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let ds = dataset();
         let p200 = Pipeline::new(PipelineConfig::paper(200.0, Overlap::Half)).unwrap();
         let p400 = Pipeline::new(PipelineConfig::paper_400ms()).unwrap();
@@ -257,6 +263,7 @@ mod tests {
 
     #[test]
     fn capacity_bound_evicts_least_recently_used() {
+        let _env = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let ds = dataset();
         let cache = SegmentCache::with_capacity(2);
         let reg = Registry::new();
@@ -276,6 +283,7 @@ mod tests {
 
     #[test]
     fn env_kill_switch_bypasses_the_cache() {
+        let _env = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let ds = dataset();
         let p = Pipeline::new(PipelineConfig::paper(200.0, Overlap::Half)).unwrap();
         let cache = SegmentCache::default();

@@ -52,14 +52,13 @@
 //! sessions — see [`crate::session`].
 
 use crate::pipeline::{Pipeline, PipelineConfig};
-use crate::session::{EngineCtx, EngineRef, ModelBundle, Session, SessionCheckpoint, TickOutcome};
+use crate::session::{ModelBundle, Session, SessionCheckpoint, TickOutcome};
 use crate::tap::DetectorTap;
 use crate::CoreError;
 use prefall_dsp::stats::Normalizer;
 use prefall_imu::channel::Channel;
 use prefall_imu::trial::Trial;
 use prefall_imu::{AIRBAG_INFLATION_SAMPLES, SAMPLE_PERIOD_MS};
-use prefall_nn::kernels::reference_kernels;
 use prefall_nn::network::{BranchStat, Network};
 use prefall_nn::quant::QuantizedNetwork;
 use prefall_nn::workspace::Workspace;
@@ -443,6 +442,13 @@ pub(crate) fn emit_guard_deltas(rec: &dyn Recorder, before: &GuardStatus, after:
 
 /// The inference engine a detector runs: the float training network or
 /// the int8 model actually deployed on the microcontroller.
+///
+/// Every call scores through `&self` and a caller-owned [`Workspace`]:
+/// float engines run the allocation-free scalar interpreter, quantized
+/// engines score directly, so one engine serves any number of
+/// [`Session`]s at once. The allocating [`Network::forward`] is not on
+/// this path; it stays the test oracle the interpreter is checked
+/// against.
 #[derive(Debug)]
 pub enum Engine {
     /// Float inference (development/evaluation).
@@ -460,195 +466,69 @@ impl Engine {
         }
     }
 
-    /// Sigmoid probability for one preprocessed segment.
+    /// Validated inference: the sigmoid probability for one
+    /// preprocessed segment, or `None` when the segment contains a
+    /// non-finite value, the engine produces one, or the architecture
+    /// is one the interpreter cannot run (the LSTM/ConvLSTM baselines,
+    /// which [`ModelBundle::new`] refuses). The input check is the only
+    /// reliable one — see [`Engine::infer_unchecked`] for why the
+    /// output side cannot detect a poisoned segment. The hardened
+    /// detector maps `None` to probability 0 and counts the reject.
     ///
-    /// No input validation — and worse than NaN-in/NaN-out: the ReLU
-    /// and max-pool layers use `f32::max`, which maps NaN to the other
-    /// operand, so a corrupted segment is silently *laundered* into a
-    /// finite but meaningless score. The output alone cannot reveal
-    /// the corruption; validate at the input boundary with
-    /// [`Engine::try_predict_proba`] when the segment may be
-    /// corrupted.
-    pub fn predict_proba(&mut self, segment: &[f32]) -> f32 {
-        match self {
-            Engine::Float(n) => prefall_nn::loss::sigmoid(n.forward(segment)[0]),
-            Engine::Quantized(q) => q.predict_proba(segment),
-        }
-    }
-
-    /// Validated inference: returns `None` instead of a garbage score
-    /// when the segment contains a non-finite value, or when the
-    /// engine itself produces one. This is the only reliable check —
-    /// see [`Engine::predict_proba`] for why the output side cannot
-    /// detect a poisoned segment. The hardened detector maps `None`
-    /// to probability 0 and counts the reject.
-    pub fn try_predict_proba(&mut self, segment: &[f32]) -> Option<f32> {
-        if segment.iter().any(|v| !v.is_finite()) {
-            return None;
-        }
-        let p = self.predict_proba(segment);
-        p.is_finite().then_some(p)
-    }
-
-    /// [`Engine::predict_proba`] additionally tracing per-branch
-    /// activations of the modality split into `trace` (cleared first;
-    /// left empty for quantized engines and split-less models). The
-    /// returned probability is **bit-identical** to the untraced path
-    /// — incident replay relies on this.
-    pub fn predict_proba_traced(&mut self, segment: &[f32], trace: &mut Vec<BranchStat>) -> f32 {
-        match self {
-            Engine::Float(n) => {
-                let out = n.forward_traced_into(segment, trace);
-                prefall_nn::loss::sigmoid(out[0])
-            }
-            Engine::Quantized(q) => {
-                trace.clear();
-                q.predict_proba(segment)
-            }
-        }
-    }
-
-    /// [`Engine::try_predict_proba`] with branch tracing (see
-    /// [`Engine::predict_proba_traced`]). `trace` is cleared even when
-    /// the segment is rejected.
-    pub fn try_predict_proba_traced(
-        &mut self,
+    /// With `trace`, per-branch activations of the modality split are
+    /// written into it (cleared first, even when the segment is
+    /// rejected; left empty for quantized engines and split-less
+    /// models). The probability is **bit-identical** either way —
+    /// incident replay relies on this.
+    pub fn infer(
+        &self,
         segment: &[f32],
-        trace: &mut Vec<BranchStat>,
-    ) -> Option<f32> {
-        trace.clear();
-        if segment.iter().any(|v| !v.is_finite()) {
-            return None;
-        }
-        let p = self.predict_proba_traced(segment, trace);
-        p.is_finite().then_some(p)
-    }
-
-    /// [`Engine::predict_proba`] through a caller-owned [`Workspace`]:
-    /// float engines with interpreter-supported architectures run the
-    /// fused, allocation-free kernel path; quantized engines,
-    /// unsupported layer stacks, and runs with the reference kernels
-    /// forced on fall back to the allocating path. The returned score
-    /// is **bit-identical** either way.
-    pub fn predict_proba_in(&mut self, segment: &[f32], ws: &mut Workspace) -> f32 {
-        if !reference_kernels() {
-            if let Engine::Float(n) = self {
-                if let Some(logit) = n.infer_scalar(segment, ws) {
-                    return prefall_nn::loss::sigmoid(logit);
-                }
-            }
-        }
-        self.predict_proba(segment)
-    }
-
-    /// [`Engine::try_predict_proba`] through a caller-owned
-    /// [`Workspace`] (see [`Engine::predict_proba_in`]).
-    pub fn try_predict_proba_in(&mut self, segment: &[f32], ws: &mut Workspace) -> Option<f32> {
-        if segment.iter().any(|v| !v.is_finite()) {
-            return None;
-        }
-        let p = self.predict_proba_in(segment, ws);
-        p.is_finite().then_some(p)
-    }
-
-    /// [`Engine::predict_proba_traced`] through a caller-owned
-    /// [`Workspace`]: probability *and* branch statistics are
-    /// bit-identical to the allocating traced path.
-    pub fn predict_proba_traced_in(
-        &mut self,
-        segment: &[f32],
-        trace: &mut Vec<BranchStat>,
         ws: &mut Workspace,
-    ) -> f32 {
-        if !reference_kernels() {
-            if let Engine::Float(n) = self {
-                trace.clear();
-                if let Some(logit) = n.infer_scalar_traced(segment, ws, trace) {
-                    return prefall_nn::loss::sigmoid(logit);
-                }
-            }
-        }
-        self.predict_proba_traced(segment, trace)
-    }
-
-    /// [`Engine::try_predict_proba_traced`] through a caller-owned
-    /// [`Workspace`] (see [`Engine::predict_proba_traced_in`]).
-    pub fn try_predict_proba_traced_in(
-        &mut self,
-        segment: &[f32],
-        trace: &mut Vec<BranchStat>,
-        ws: &mut Workspace,
+        mut trace: Option<&mut Vec<BranchStat>>,
     ) -> Option<f32> {
-        trace.clear();
         if segment.iter().any(|v| !v.is_finite()) {
+            if let Some(t) = trace.as_deref_mut() {
+                t.clear();
+            }
             return None;
         }
-        let p = self.predict_proba_traced_in(segment, trace, ws);
+        let p = self.infer_unchecked(segment, ws, trace)?;
         p.is_finite().then_some(p)
     }
 
-    /// [`Engine::predict_proba_in`] through `&self`, for fleet serving
-    /// where one engine is shared immutably across sessions: float
-    /// engines run the allocation-free scalar interpreter only
-    /// (bit-identical scores to the default exclusive path), quantized
-    /// engines score directly. Returns `None` for architectures the
-    /// interpreter cannot run (the LSTM/ConvLSTM baselines) — check
-    /// [`ModelBundle::supports_shared_inference`] once at construction
-    /// instead of discovering it per window.
-    ///
-    /// [`ModelBundle::supports_shared_inference`]:
-    ///     crate::session::ModelBundle::supports_shared_inference
-    pub fn predict_proba_shared(&self, segment: &[f32], ws: &mut Workspace) -> Option<f32> {
-        match self {
-            Engine::Float(n) => n.infer_scalar(segment, ws).map(prefall_nn::loss::sigmoid),
-            Engine::Quantized(q) => Some(q.predict_proba(segment)),
-        }
-    }
-
-    /// [`Engine::try_predict_proba_in`] through `&self` (see
-    /// [`Engine::predict_proba_shared`]). `None` means either a
-    /// non-finite segment or an unsupported architecture.
+    /// [`Engine::infer`] without tracing — the fleet's and the
+    /// benchmark's per-window call.
     pub fn try_predict_proba_shared(&self, segment: &[f32], ws: &mut Workspace) -> Option<f32> {
-        if segment.iter().any(|v| !v.is_finite()) {
-            return None;
-        }
-        let p = self.predict_proba_shared(segment, ws)?;
-        p.is_finite().then_some(p)
+        self.infer(segment, ws, None)
     }
 
-    /// [`Engine::predict_proba_traced_in`] through `&self` (see
-    /// [`Engine::predict_proba_shared`]). `trace` is cleared first and
-    /// left empty for quantized engines.
-    pub fn predict_proba_traced_shared(
+    /// Unvalidated inference, kept for the guard-off ingest only.
+    /// `None` only for an architecture the interpreter cannot run.
+    ///
+    /// Worse than NaN-in/NaN-out: the ReLU and max-pool layers use
+    /// `f32::max`, which maps NaN to the other operand, so a corrupted
+    /// segment is silently *laundered* into a finite but meaningless
+    /// score. Validate at the input boundary with [`Engine::infer`]
+    /// when the segment may be corrupted.
+    pub fn infer_unchecked(
         &self,
         segment: &[f32],
-        trace: &mut Vec<BranchStat>,
         ws: &mut Workspace,
+        trace: Option<&mut Vec<BranchStat>>,
     ) -> Option<f32> {
-        trace.clear();
         match self {
-            Engine::Float(n) => n
-                .infer_scalar_traced(segment, ws, trace)
-                .map(prefall_nn::loss::sigmoid),
-            Engine::Quantized(q) => Some(q.predict_proba(segment)),
+            Engine::Float(n) => match trace {
+                Some(t) => n.infer_scalar_traced(segment, ws, t),
+                None => n.infer_scalar(segment, ws),
+            }
+            .map(prefall_nn::loss::sigmoid),
+            Engine::Quantized(q) => {
+                if let Some(t) = trace {
+                    t.clear();
+                }
+                Some(q.predict_proba(segment))
+            }
         }
-    }
-
-    /// [`Engine::try_predict_proba_traced_in`] through `&self` (see
-    /// [`Engine::predict_proba_shared`]). `trace` is cleared even when
-    /// the segment is rejected.
-    pub fn try_predict_proba_traced_shared(
-        &self,
-        segment: &[f32],
-        trace: &mut Vec<BranchStat>,
-        ws: &mut Workspace,
-    ) -> Option<f32> {
-        trace.clear();
-        if segment.iter().any(|v| !v.is_finite()) {
-            return None;
-        }
-        let p = self.predict_proba_traced_shared(segment, trace, ws)?;
-        p.is_finite().then_some(p)
     }
 }
 
@@ -671,14 +551,11 @@ impl From<QuantizedNetwork> for Engine {
 /// A streaming pre-impact fall detector wrapping a trained network.
 ///
 /// Internally this is a [`ModelBundle`] (the immutable model half)
-/// driving a single [`Session`] (the per-stream half) through the
-/// exclusive `&mut` engine path — the one-wearer special case of the
-/// fleet split in [`crate::session`], with behaviour bit-identical to
-/// the pre-split detector. [`StreamingDetector::into_parts`] releases
-/// the halves for fleet use.
-///
-/// [`ModelBundle`]: crate::session::ModelBundle
-/// [`Session`]: crate::session::Session
+/// and a single [`Session`] (the per-stream half): every push forwards
+/// to the session with the bundle borrowed shared, through the same
+/// `&self` engine call a fleet uses — the one-wearer special case of
+/// the split in [`crate::session`]. [`StreamingDetector::into_parts`]
+/// releases the halves for fleet use.
 #[derive(Debug)]
 pub struct StreamingDetector {
     bundle: ModelBundle,
@@ -692,7 +569,9 @@ impl StreamingDetector {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] when the engine input does
-    /// not match the configured window, or the filter design fails.
+    /// not match the configured window, the architecture cannot run on
+    /// the allocation-free interpreter (see [`ModelBundle::new`]), or
+    /// the filter design fails.
     pub fn new(
         engine: impl Into<Engine>,
         normalizer: Normalizer,
@@ -724,19 +603,6 @@ impl StreamingDetector {
     /// The per-stream session half.
     pub fn session(&self) -> &Session {
         &self.session
-    }
-
-    /// Splits the borrow: the exclusive engine context plus the
-    /// session it drives.
-    fn ctx_and_session(&mut self) -> (EngineCtx<'_>, &mut Session) {
-        let Self { bundle, session } = self;
-        (
-            EngineCtx {
-                engine: EngineRef::Exclusive(&mut bundle.engine),
-                normalizer: &bundle.normalizer,
-            },
-            session,
-        )
     }
 
     /// The configuration.
@@ -835,8 +701,7 @@ impl StreamingDetector {
     /// layers launder it into a constant garbage score — the detector
     /// goes silently blind.
     pub fn push_sample(&mut self, accel: [f32; 3], gyro: [f32; 3]) -> Option<f32> {
-        let (mut ctx, session) = self.ctx_and_session();
-        session.push_sample_with(&mut ctx, accel, gyro)
+        self.session.push_sample(&self.bundle, accel, gyro)
     }
 
     /// Ingests a sample at an explicit 100 Hz grid tick, tolerating
@@ -850,8 +715,7 @@ impl StreamingDetector {
         gyro: [f32; 3],
         out: &mut Vec<f32>,
     ) -> TickOutcome {
-        let (mut ctx, session) = self.ctx_and_session();
-        session.push_at_with(&mut ctx, tick, accel, gyro, Some(out), true)
+        self.session.push_at(&self.bundle, tick, accel, gyro, out)
     }
 
     /// Reports a missing grid tick (the sensor bus delivered nothing at
@@ -868,8 +732,7 @@ impl StreamingDetector {
     /// silently loses grid alignment — the failure mode the guard
     /// exists to prevent.
     pub fn push_missing(&mut self) -> Option<f32> {
-        let (mut ctx, session) = self.ctx_and_session();
-        session.push_missing_with(&mut ctx)
+        self.session.push_missing(&self.bundle)
     }
 
     /// Whether the trigger condition (N consecutive positive windows) is
@@ -1535,18 +1398,38 @@ mod tests {
     }
 
     #[test]
-    fn try_predict_proba_rejects_nonfinite_segments() {
+    fn infer_rejects_nonfinite_segments() {
         let w = 20;
         let net = ModelKind::ProposedCnn.build(w, 9, 1).unwrap();
-        let mut engine = Engine::from(net);
+        let engine = Engine::from(net);
+        let mut ws = Workspace::new();
         let good = vec![0.1f32; w * 9];
         let mut bad = good.clone();
         bad[57] = f32::NAN;
-        assert!(engine.try_predict_proba(&good).is_some());
-        assert!(engine.try_predict_proba(&bad).is_none());
-        // The raw path launders the NaN through `max`-based layers into
-        // a finite garbage score — which is exactly why the validated
-        // path must check the input, not the output.
-        assert!(engine.predict_proba(&bad).is_finite(), "silent laundering");
+        assert!(engine.try_predict_proba_shared(&good, &mut ws).is_some());
+        assert!(engine.try_predict_proba_shared(&bad, &mut ws).is_none());
+        // The unchecked path launders the NaN through `max`-based
+        // layers into a finite garbage score — which is exactly why the
+        // validated path must check the input, not the output.
+        let laundered = engine.infer_unchecked(&bad, &mut ws, None);
+        assert!(laundered.is_some_and(f32::is_finite), "silent laundering");
+    }
+
+    #[test]
+    fn traced_inference_is_bit_identical_and_cleared_on_reject() {
+        let w = 20;
+        let net = ModelKind::ProposedCnn.build(w, 9, 3).unwrap();
+        let engine = Engine::from(net);
+        let mut ws = Workspace::new();
+        let seg: Vec<f32> = (0..w * 9).map(|i| (i as f32 * 0.37).sin()).collect();
+        let mut trace = Vec::new();
+        let traced = engine.infer(&seg, &mut ws, Some(&mut trace)).unwrap();
+        let plain = engine.try_predict_proba_shared(&seg, &mut ws).unwrap();
+        assert_eq!(traced.to_bits(), plain.to_bits());
+        assert_eq!(trace.len(), 3, "one stat per modality branch");
+        let mut bad = seg.clone();
+        bad[0] = f32::INFINITY;
+        assert!(engine.infer(&bad, &mut ws, Some(&mut trace)).is_none());
+        assert!(trace.is_empty(), "a rejected segment leaves no stale trace");
     }
 }

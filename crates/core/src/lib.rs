@@ -74,8 +74,10 @@ pub mod tap;
 pub mod threshold;
 pub mod tuning;
 
+mod checksum;
 mod error;
 mod tracenames;
 mod worker;
 
+pub use checksum::fnv1a64;
 pub use error::CoreError;

@@ -14,14 +14,14 @@
 //!
 //! # Shared inference
 //!
-//! The exclusive single-wearer path classifies through `&mut Engine`
-//! (which may fall back to the allocating forward pass for
-//! architectures the scalar interpreter cannot run). The shared path
-//! classifies through `&Engine` using the allocation-free scalar
-//! interpreter only — bit-identical scores for supported
-//! architectures, and [`ModelBundle::supports_shared_inference`]
-//! reports support up front so a fleet can refuse an LSTM/ConvLSTM
-//! bundle at construction instead of rejecting windows at runtime.
+//! There is one route from a session to the engine: every push borrows
+//! the [`ModelBundle`] shared and classifies through `&Engine`, on the
+//! allocation-free scalar interpreter (float) or the int8 kernels —
+//! for a one-wearer [`StreamingDetector`](crate::detector::StreamingDetector)
+//! and a fleet of thousands alike. [`ModelBundle::new`] refuses
+//! architectures the interpreter cannot run (the LSTM/ConvLSTM
+//! baselines), so no constructed bundle can reject windows at runtime
+//! for its architecture.
 //!
 //! # Tick grid and out-of-order delivery
 //!
@@ -41,7 +41,7 @@ use crate::detector::{
     TrialOutcome,
 };
 use crate::tap::{DetectorTap, SampleTapCtx, WindowTap};
-use crate::CoreError;
+use crate::{fnv1a64, CoreError};
 use prefall_dsp::biquad::SosFilter;
 use prefall_dsp::butterworth::Butterworth;
 use prefall_dsp::fusion::{ComplementaryFilter, EulerAngles};
@@ -66,7 +66,6 @@ pub struct ModelBundle {
     pub(crate) normalizer: Normalizer,
     pub(crate) config: DetectorConfig,
     filter_proto: SosFilter,
-    scalar_ready: bool,
 }
 
 impl ModelBundle {
@@ -75,7 +74,9 @@ impl ModelBundle {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] when the engine input does
-    /// not match the configured window, or the filter design fails.
+    /// not match the configured window, the architecture cannot run on
+    /// the allocation-free `&self` interpreter (the LSTM/ConvLSTM
+    /// baselines), or the filter design fails.
     pub fn new(
         engine: impl Into<Engine>,
         normalizer: Normalizer,
@@ -97,22 +98,22 @@ impl ModelBundle {
             config.pipeline.filter_cutoff_hz,
             SAMPLE_RATE_HZ,
         )?;
-        // Probe the allocation-free `&self` interpreter once so fleet
-        // construction can refuse unsupported architectures up front.
-        let scalar_ready = match &engine {
-            Engine::Quantized(_) => true,
-            Engine::Float(n) => {
-                let mut ws = Workspace::new();
-                let probe = vec![0.0f32; n.input_len()];
-                n.infer_scalar(&probe, &mut ws).is_some()
-            }
-        };
+        // Probe the interpreter once: an architecture it cannot run
+        // would reject every window, so refuse it here instead.
+        let probe = vec![0.0f32; engine.input_len()];
+        if engine
+            .infer_unchecked(&probe, &mut Workspace::new(), None)
+            .is_none()
+        {
+            return Err(CoreError::InvalidConfig {
+                reason: "architecture unsupported by the allocation-free interpreter".to_string(),
+            });
+        }
         Ok(Self {
             engine,
             normalizer,
             config,
             filter_proto: design.to_filter(),
-            scalar_ready,
         })
     }
 
@@ -130,16 +131,6 @@ impl ModelBundle {
     /// The fitted per-channel normaliser.
     pub fn normalizer(&self) -> &Normalizer {
         &self.normalizer
-    }
-
-    /// Whether the `&self` shared-inference path supports this
-    /// engine's architecture. `false` for the LSTM/ConvLSTM baselines,
-    /// whose recurrent layers the allocation-free scalar interpreter
-    /// cannot run — such bundles still work behind a
-    /// [`StreamingDetector`](crate::detector::StreamingDetector), but
-    /// a fleet should reject them at construction.
-    pub fn supports_shared_inference(&self) -> bool {
-        self.scalar_ready
     }
 
     /// Creates a fresh, cold session against this bundle.
@@ -166,72 +157,6 @@ impl ModelBundle {
             scratch_seg: Vec::with_capacity(window * NUM_CHANNELS),
         }
     }
-
-    pub(crate) fn shared_ctx(&self) -> EngineCtx<'_> {
-        EngineCtx {
-            engine: EngineRef::Shared(&self.engine),
-            normalizer: &self.normalizer,
-        }
-    }
-}
-
-/// How a [`Session`] reaches the engine: exclusively (the
-/// single-wearer detector, `&mut` — may use allocating fallbacks) or
-/// shared (`&` — fleet serving, scalar interpreter only).
-pub(crate) enum EngineRef<'a> {
-    Exclusive(&'a mut Engine),
-    Shared(&'a Engine),
-}
-
-impl EngineRef<'_> {
-    fn try_in(&mut self, seg: &[f32], ws: &mut Workspace) -> Option<f32> {
-        match self {
-            EngineRef::Exclusive(e) => e.try_predict_proba_in(seg, ws),
-            EngineRef::Shared(e) => e.try_predict_proba_shared(seg, ws),
-        }
-    }
-
-    fn try_traced_in(
-        &mut self,
-        seg: &[f32],
-        trace: &mut Vec<BranchStat>,
-        ws: &mut Workspace,
-    ) -> Option<f32> {
-        match self {
-            EngineRef::Exclusive(e) => e.try_predict_proba_traced_in(seg, trace, ws),
-            EngineRef::Shared(e) => e.try_predict_proba_traced_shared(seg, trace, ws),
-        }
-    }
-
-    fn raw_in(&mut self, seg: &[f32], ws: &mut Workspace) -> f32 {
-        match self {
-            EngineRef::Exclusive(e) => e.predict_proba_in(seg, ws),
-            // Unsupported architectures cannot be computed without
-            // `&mut`; NaN is the honest "no score" on the raw path.
-            EngineRef::Shared(e) => e.predict_proba_shared(seg, ws).unwrap_or(f32::NAN),
-        }
-    }
-
-    fn raw_traced_in(
-        &mut self,
-        seg: &[f32],
-        trace: &mut Vec<BranchStat>,
-        ws: &mut Workspace,
-    ) -> f32 {
-        match self {
-            EngineRef::Exclusive(e) => e.predict_proba_traced_in(seg, trace, ws),
-            EngineRef::Shared(e) => e
-                .predict_proba_traced_shared(seg, trace, ws)
-                .unwrap_or(f32::NAN),
-        }
-    }
-}
-
-/// Everything a [`Session`] borrows per push: the engine (exclusive or
-/// shared) and the normaliser.
-pub(crate) struct EngineCtx<'a> {
-    pub(crate) engine: EngineRef<'a>,
-    pub(crate) normalizer: &'a Normalizer,
 }
 
 /// What happened to one tick pushed via [`Session::push_at`].
@@ -386,26 +311,29 @@ impl Session {
         }
     }
 
-    /// Feeds one raw sample through the shared-inference path.
-    /// Equivalent to
-    /// [`StreamingDetector::push_sample`](crate::detector::StreamingDetector::push_sample)
-    /// but borrowing the model immutably from `bundle`.
+    /// Feeds one raw 100 Hz sample (see
+    /// [`StreamingDetector::push_sample`](crate::detector::StreamingDetector::push_sample)),
+    /// classifying against `bundle`'s engine.
     pub fn push_sample(
         &mut self,
         bundle: &ModelBundle,
         accel: [f32; 3],
         gyro: [f32; 3],
     ) -> Option<f32> {
-        let mut ctx = bundle.shared_ctx();
-        self.push_sample_with(&mut ctx, accel, gyro)
+        self.push_tick(bundle, accel, gyro, true).0
     }
 
-    /// Reports a missing grid tick through the shared-inference path
-    /// (see
+    /// Reports a missing grid tick (see
     /// [`StreamingDetector::push_missing`](crate::detector::StreamingDetector::push_missing)).
     pub fn push_missing(&mut self, bundle: &ModelBundle) -> Option<f32> {
-        let mut ctx = bundle.shared_ctx();
-        self.push_missing_with(&mut ctx)
+        if !self.guard.cfg.enabled {
+            // The naive path never learns a tick passed — but a tap
+            // still records the event so a replay stays faithful.
+            let (accel, gyro) = self.guard.fill_value();
+            self.tap_after(accel, gyro, true, None);
+            return None;
+        }
+        self.push_missing_tick(bundle, true).0
     }
 
     /// Ingests a sample at an explicit grid tick, tolerating
@@ -420,8 +348,7 @@ impl Session {
         gyro: [f32; 3],
         out: &mut Vec<f32>,
     ) -> TickOutcome {
-        let mut ctx = bundle.shared_ctx();
-        self.push_at_with(&mut ctx, tick, accel, gyro, Some(out), true)
+        self.push_at_impl(bundle, tick, accel, gyro, Some(out), true)
     }
 
     /// [`Session::push_at`] under load shedding: guard, filters,
@@ -436,8 +363,7 @@ impl Session {
         accel: [f32; 3],
         gyro: [f32; 3],
     ) -> TickOutcome {
-        let mut ctx = bundle.shared_ctx();
-        self.push_at_with(&mut ctx, tick, accel, gyro, None, false)
+        self.push_at_impl(bundle, tick, accel, gyro, None, false)
     }
 
     /// Captures the complete per-stream state for crash-safe resume.
@@ -515,48 +441,28 @@ impl Session {
         Ok(())
     }
 
-    pub(crate) fn push_sample_with(
-        &mut self,
-        ctx: &mut EngineCtx<'_>,
-        accel: [f32; 3],
-        gyro: [f32; 3],
-    ) -> Option<f32> {
-        self.push_tick(ctx, accel, gyro, true).0
-    }
-
     /// One delivered tick: guard (or raw) ingest, then the tap.
     /// Returns `(probability, shed_boundary)`.
     fn push_tick(
         &mut self,
-        ctx: &mut EngineCtx<'_>,
+        bundle: &ModelBundle,
         accel: [f32; 3],
         gyro: [f32; 3],
         infer: bool,
     ) -> (Option<f32>, bool) {
         let (prob, shed) = if self.guard.cfg.enabled {
             self.guard.next_tick = self.guard.next_tick.wrapping_add(1);
-            self.push_guarded(ctx, accel, gyro, false, infer)
+            self.push_guarded(bundle, accel, gyro, false, infer)
         } else {
-            self.push_raw(ctx, accel, gyro, infer)
+            self.push_raw(bundle, accel, gyro, infer)
         };
         self.tap_after(accel, gyro, false, prob);
         (prob, shed)
     }
 
-    pub(crate) fn push_missing_with(&mut self, ctx: &mut EngineCtx<'_>) -> Option<f32> {
-        if !self.guard.cfg.enabled {
-            // The naive path never learns a tick passed — but a tap
-            // still records the event so a replay stays faithful.
-            let (accel, gyro) = self.guard.fill_value();
-            self.tap_after(accel, gyro, true, None);
-            return None;
-        }
-        self.push_missing_tick(ctx, true).0
-    }
-
     /// One missing tick on the guarded path. Returns
     /// `(probability, shed_boundary)`.
-    fn push_missing_tick(&mut self, ctx: &mut EngineCtx<'_>, infer: bool) -> (Option<f32>, bool) {
+    fn push_missing_tick(&mut self, bundle: &ModelBundle, infer: bool) -> (Option<f32>, bool) {
         let before = self.guard.status;
         self.guard.status.samples += 1;
         self.guard.next_tick = self.guard.next_tick.wrapping_add(1);
@@ -581,7 +487,7 @@ impl Session {
         }
         let (accel, gyro) = self.guard.fill_value();
         let (prob, shed) = if bridged {
-            self.push_guarded(ctx, accel, gyro, true, infer)
+            self.push_guarded(bundle, accel, gyro, true, infer)
         } else {
             (None, false)
         };
@@ -589,9 +495,9 @@ impl Session {
         (prob, shed)
     }
 
-    pub(crate) fn push_at_with(
+    fn push_at_impl(
         &mut self,
-        ctx: &mut EngineCtx<'_>,
+        bundle: &ModelBundle,
         tick: u64,
         accel: [f32; 3],
         gyro: [f32; 3],
@@ -612,7 +518,7 @@ impl Session {
         };
         if !self.guard.cfg.enabled {
             // The naive path has no grid: ingest in arrival order.
-            let (prob, shed) = self.push_tick(ctx, accel, gyro, infer);
+            let (prob, shed) = self.push_tick(bundle, accel, gyro, infer);
             collect(&mut res, prob, shed);
             return res;
         }
@@ -634,7 +540,7 @@ impl Session {
             let mut remaining = tick - expected;
             let max_fill = self.guard.cfg.max_gap_fill as u64;
             while remaining > 0 && (self.guard.gap_run as u64) < max_fill {
-                let (prob, shed) = self.push_missing_tick(ctx, infer);
+                let (prob, shed) = self.push_missing_tick(bundle, infer);
                 collect(&mut res, prob, shed);
                 remaining -= 1;
             }
@@ -656,7 +562,7 @@ impl Session {
                 }
             }
         }
-        let (prob, shed) = self.push_tick(ctx, accel, gyro, infer);
+        let (prob, shed) = self.push_tick(bundle, accel, gyro, infer);
         collect(&mut res, prob, shed);
         res
     }
@@ -708,7 +614,7 @@ impl Session {
     /// Returns `(probability, shed_boundary)`.
     fn push_guarded(
         &mut self,
-        ctx: &mut EngineCtx<'_>,
+        bundle: &ModelBundle,
         accel: [f32; 3],
         gyro: [f32; 3],
         synthetic: bool,
@@ -744,6 +650,74 @@ impl Session {
         } else {
             gyro
         };
+        let mut shed_boundary = false;
+        let prob = if !self.ingest(accel, gyro, fused_gyro) {
+            None
+        } else if !infer {
+            // Load shedding: the window boundary passes unclassified.
+            // The arming run is frozen — a shed fleet falls back to
+            // the accel-confirmed trigger, never to stale scores.
+            shed_boundary = true;
+            None
+        } else {
+            // Degraded channels are masked to the normalised zero point.
+            let mode = self.guard.mode;
+            let p = self
+                .classify(bundle, rec.as_ref(), mode, true)
+                .unwrap_or_else(|| {
+                    self.guard.status.engine_rejects += 1;
+                    0.0
+                });
+            self.guard.status.windows += 1;
+            if mode.is_degraded() {
+                self.guard.status.degraded_windows += 1;
+            }
+            self.arm(p, rec.as_ref());
+            if self.trigger_armed() && !self.guard_allows_trigger() {
+                self.guard.status.suppressed_triggers += 1;
+            }
+            Some(p)
+        };
+
+        if rec.enabled() {
+            emit_guard_deltas(rec.as_ref(), &before, &self.guard.status);
+            self.publish_mode(rec.as_ref());
+        }
+        (prob, shed_boundary)
+    }
+
+    /// The legacy unhardened ingest, byte-for-byte the pre-guard
+    /// behaviour: no validation, no masking, unchecked scoring.
+    /// Returns `(probability, shed_boundary)`.
+    fn push_raw(
+        &mut self,
+        bundle: &ModelBundle,
+        accel: [f32; 3],
+        gyro: [f32; 3],
+        infer: bool,
+    ) -> (Option<f32>, bool) {
+        let rec = Arc::clone(&self.rec);
+        let _push_span = Span::enter(rec.as_ref(), "detector.push_sample_seconds");
+        if !self.ingest(accel, gyro, gyro) {
+            return (None, false);
+        }
+        if !infer {
+            return (None, true);
+        }
+        // `None` only for an unsupported architecture, which
+        // `ModelBundle::new` refuses; NaN is the honest "no score".
+        let prob = self
+            .classify(bundle, rec.as_ref(), DetectorMode::default(), false)
+            .unwrap_or(f32::NAN);
+        self.arm(prob, rec.as_ref());
+        (Some(prob), false)
+    }
+
+    /// Fusion → filter → window: runs the on-edge sensor fusion (with
+    /// `fused_gyro`, which a degraded gyro zeroes) and the causal
+    /// low-pass on one sample and slides it into the window. Returns
+    /// whether the full window now sits on a hop boundary.
+    fn ingest(&mut self, accel: [f32; 3], gyro: [f32; 3], fused_gyro: [f32; 3]) -> bool {
         let euler = self.fusion.update(
             [
                 f64::from(accel[0]),
@@ -778,164 +752,54 @@ impl Session {
         }
         self.window.push_back(row);
         self.samples_seen += 1;
-
-        let hop = self.hop;
-        let mut shed_boundary = false;
-        let prob = if self.window.len() < w || !(self.samples_seen - w).is_multiple_of(hop) {
-            None
-        } else if !infer {
-            // Load shedding: the window boundary passes unclassified.
-            // The arming run is frozen — a shed fleet falls back to
-            // the accel-confirmed trigger, never to stale scores.
-            shed_boundary = true;
-            None
-        } else {
-            // Assemble, normalise, mask degraded channels, classify.
-            // The scratch buffer and workspace are taken out of `self`
-            // (both takes are allocation-free) so the engine can borrow
-            // them alongside the session's own state.
-            let mut seg = std::mem::take(&mut self.scratch_seg);
-            let mut ws = std::mem::take(&mut self.ws);
-            seg.clear();
-            for r in &self.window {
-                seg.extend_from_slice(r);
-            }
-            ctx.normalizer.apply_in_place(&mut seg);
-            let mode = self.guard.mode;
-            if mode.accel_degraded || mode.gyro_degraded {
-                let from = if mode.accel_degraded { 0 } else { 3 };
-                let to = if mode.gyro_degraded { 6 } else { 3 };
-                for r in 0..w {
-                    for c in from..to {
-                        seg[r * NUM_CHANNELS + c] = 0.0;
-                    }
-                }
-            }
-            let p = {
-                let _infer_span = Span::enter(rec.as_ref(), "detector.infer_seconds");
-                let scored = if self.tap.is_some() {
-                    ctx.engine
-                        .try_traced_in(&seg, &mut self.last_trace, &mut ws)
-                } else {
-                    ctx.engine.try_in(&seg, &mut ws)
-                };
-                match scored {
-                    Some(p) => p,
-                    None => {
-                        self.guard.status.engine_rejects += 1;
-                        0.0
-                    }
-                }
-            };
-            self.scratch_seg = seg;
-            self.ws = ws;
-            self.guard.status.windows += 1;
-            if mode.is_degraded() {
-                self.guard.status.degraded_windows += 1;
-            }
-            if rec.enabled() {
-                rec.counter_add("detector.windows", 1);
-            }
-            if p >= self.threshold {
-                self.positives_in_a_row += 1;
-            } else {
-                self.positives_in_a_row = 0;
-            }
-            if self.trigger_armed() && !self.guard_allows_trigger() {
-                self.guard.status.suppressed_triggers += 1;
-            }
-            Some(p)
-        };
-
-        if rec.enabled() {
-            emit_guard_deltas(rec.as_ref(), &before, &self.guard.status);
-            self.publish_mode(rec.as_ref());
-        }
-        (prob, shed_boundary)
+        self.window.len() == w && (self.samples_seen - w).is_multiple_of(self.hop)
     }
 
-    /// The legacy unhardened ingest, byte-for-byte the pre-guard
-    /// behaviour. Returns `(probability, shed_boundary)`.
-    fn push_raw(
+    /// Window → score: assembles the window into the scratch segment,
+    /// normalises it, zeroes the channels of the sensors `masked`
+    /// marks degraded, and classifies through the shared engine —
+    /// `validated` ([`Engine::infer`]) or, for the guard-off ingest,
+    /// unchecked. Traced into `last_trace` while a tap is installed.
+    /// No per-window heap allocation.
+    fn classify(
         &mut self,
-        ctx: &mut EngineCtx<'_>,
-        accel: [f32; 3],
-        gyro: [f32; 3],
-        infer: bool,
-    ) -> (Option<f32>, bool) {
-        // Cloning the Arc (one atomic bump, no allocation) frees `self`
-        // for the mutable streaming state below.
-        let rec = Arc::clone(&self.rec);
-        let _push_span = Span::enter(rec.as_ref(), "detector.push_sample_seconds");
-        // On-edge sensor fusion, exactly like the acquisition firmware.
-        let euler = self.fusion.update(
-            [
-                f64::from(accel[0]),
-                f64::from(accel[1]),
-                f64::from(accel[2]),
-            ],
-            [f64::from(gyro[0]), f64::from(gyro[1]), f64::from(gyro[2])],
-        );
-        let raw = [
-            accel[0],
-            accel[1],
-            accel[2],
-            gyro[0],
-            gyro[1],
-            gyro[2],
-            euler.pitch as f32,
-            euler.roll as f32,
-            euler.yaw as f32,
-        ];
-        let mut row = [0.0f32; NUM_CHANNELS];
-        for (c, (f, &v)) in self.filters.iter_mut().zip(&raw).enumerate() {
-            row[c] = f.process(v);
-        }
-
-        let w = self.window_len;
-        if self.window.len() == w {
-            self.window.pop_front();
-        }
-        self.window.push_back(row);
-        self.samples_seen += 1;
-
-        let hop = self.hop;
-        if self.window.len() < w || !(self.samples_seen - w).is_multiple_of(hop) {
-            return (None, false);
-        }
-        if !infer {
-            return (None, true);
-        }
-
-        // Assemble, normalise, classify. Scratch reuse as in
-        // `push_guarded`: no per-window heap allocation.
-        let mut seg = std::mem::take(&mut self.scratch_seg);
-        let mut ws = std::mem::take(&mut self.ws);
+        bundle: &ModelBundle,
+        rec: &dyn Recorder,
+        masked: DetectorMode,
+        validated: bool,
+    ) -> Option<f32> {
+        let seg = &mut self.scratch_seg;
         seg.clear();
         for r in &self.window {
             seg.extend_from_slice(r);
         }
-        ctx.normalizer.apply_in_place(&mut seg);
-        let prob = {
-            let _infer_span = Span::enter(rec.as_ref(), "detector.infer_seconds");
-            if self.tap.is_some() {
-                ctx.engine
-                    .raw_traced_in(&seg, &mut self.last_trace, &mut ws)
-            } else {
-                ctx.engine.raw_in(&seg, &mut ws)
+        bundle.normalizer.apply_in_place(seg);
+        if masked.accel_degraded || masked.gyro_degraded {
+            let from = if masked.accel_degraded { 0 } else { 3 };
+            let to = if masked.gyro_degraded { 6 } else { 3 };
+            for row in seg.chunks_exact_mut(NUM_CHANNELS) {
+                row[from..to].fill(0.0);
             }
-        };
-        self.scratch_seg = seg;
-        self.ws = ws;
+        }
+        let _infer_span = Span::enter(rec, "detector.infer_seconds");
+        let trace = self.tap.is_some().then_some(&mut self.last_trace);
+        if validated {
+            bundle.engine.infer(seg, &mut self.ws, trace)
+        } else {
+            bundle.engine.infer_unchecked(seg, &mut self.ws, trace)
+        }
+    }
+
+    /// Counts a classified window and advances the arming run.
+    fn arm(&mut self, p: f32, rec: &dyn Recorder) {
         if rec.enabled() {
             rec.counter_add("detector.windows", 1);
         }
-        if prob >= self.threshold {
+        if p >= self.threshold {
             self.positives_in_a_row += 1;
         } else {
             self.positives_in_a_row = 0;
         }
-        (Some(prob), false)
     }
 
     fn guard_allows_trigger(&self) -> bool {
@@ -1021,15 +885,6 @@ pub struct SessionCheckpoint {
 /// `"PFSC"` — prefall session checkpoint.
 const CHECKPOINT_MAGIC: u32 = 0x5046_5343;
 const CHECKPOINT_VERSION: u16 = 1;
-
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 struct ByteReader<'a> {
     buf: &'a [u8],
@@ -1362,7 +1217,6 @@ mod tests {
     #[test]
     fn shared_session_matches_serial_detector_bitwise() {
         let b = bundle();
-        assert!(b.supports_shared_inference());
         let mut session = b.new_session();
         let cfg = config();
         let w = cfg.pipeline.segmentation.window();
@@ -1481,28 +1335,72 @@ mod tests {
         assert_eq!(st.window_flushes, 1, "mixed window flushed on arrival");
     }
 
+    /// One ingest event of the checkpoint stream.
+    #[derive(Clone, Copy)]
+    enum Event {
+        Sample([f32; 3], [f32; 3]),
+        Missing,
+    }
+
+    /// 200 ticks that drive every piece of guard state through a
+    /// transition: a NaN burst (degraded modes, fault debounce), a
+    /// bridged 5-tick gap (`gap_run`), and an unbridgeable 16-tick gap
+    /// (`gap_lost`, stale, `pending_flush` until data resumes).
+    fn eventful_stream() -> Vec<Event> {
+        (0..200u64)
+            .map(|i| match i {
+                40..48 => Event::Sample([f32::NAN; 3], [f32::NAN, 0.1, f32::INFINITY]),
+                90..95 | 130..146 => Event::Missing,
+                _ => {
+                    let (a, g) = wiggle(i);
+                    Event::Sample(a, g)
+                }
+            })
+            .collect()
+    }
+
+    fn feed(s: &mut Session, b: &ModelBundle, e: Event) -> Option<u32> {
+        match e {
+            Event::Sample(a, g) => s.push_sample(b, a, g),
+            Event::Missing => s.push_missing(b),
+        }
+        .map(f32::to_bits)
+    }
+
     #[test]
     fn checkpoint_resume_is_bit_identical() {
         let b = bundle();
+        let events = eventful_stream();
+        // The uninterrupted run, checkpointing before every tick.
         let mut s = b.new_session();
-        for i in 0..73 {
-            let (a, g) = wiggle(i);
-            let _ = s.push_sample(&b, a, g);
+        let mut blobs = Vec::with_capacity(events.len() + 1);
+        let mut expect = Vec::with_capacity(events.len());
+        for &e in &events {
+            blobs.push(s.checkpoint().to_bytes());
+            expect.push(feed(&mut s, &b, e));
         }
-        let ck = s.checkpoint();
-        let blob = ck.to_bytes();
-        let loaded = SessionCheckpoint::from_bytes(&blob).unwrap();
-        assert_eq!(ck, loaded, "byte round-trip is lossless");
+        blobs.push(s.checkpoint().to_bytes());
+        let end = s.checkpoint();
 
-        let mut resumed = b.new_session();
-        resumed.restore(&loaded).unwrap();
-        assert_eq!(resumed.samples_seen(), 73);
-        for i in 73..200 {
-            let (a, g) = wiggle(i);
-            let pa = s.push_sample(&b, a, g);
-            let pb = resumed.push_sample(&b, a, g);
-            assert_eq!(pa.map(f32::to_bits), pb.map(f32::to_bits), "tick {i}");
+        let mut seen = (false, false, false);
+        for (k, blob) in blobs.iter().enumerate() {
+            let loaded = SessionCheckpoint::from_bytes(blob).unwrap();
+            assert_eq!(&loaded.to_bytes(), blob, "byte round-trip at tick {k}");
+            let g = &loaded.guard;
+            seen.0 |= g.pending_flush;
+            seen.1 |= g.gap_run > 0 && !g.pending_flush;
+            seen.2 |= g.mode.accel_degraded || g.mode.gyro_degraded;
+
+            let mut resumed = b.new_session();
+            resumed.restore(&loaded).unwrap();
+            for (i, &e) in events.iter().enumerate().skip(k) {
+                assert_eq!(feed(&mut resumed, &b, e), expect[i], "split {k}, tick {i}");
+            }
+            assert_eq!(resumed.checkpoint(), end, "final state after split {k}");
         }
+        assert!(seen.0, "a checkpoint caught a pending flush");
+        assert!(seen.1, "a checkpoint caught a bridged gap run");
+        assert!(seen.2, "a checkpoint caught a degraded mode");
     }
 
     #[test]
@@ -1514,16 +1412,24 @@ mod tests {
             let _ = s.push_sample(&b, a, g);
         }
         let blob = s.checkpoint().to_bytes();
-        // Truncation.
-        assert!(SessionCheckpoint::from_bytes(&blob[..blob.len() - 3]).is_err());
-        // Bit flip in the body.
+        assert!(SessionCheckpoint::from_bytes(&blob).is_ok());
+        // Every truncation, the empty blob included.
+        for len in 0..blob.len() {
+            assert!(
+                SessionCheckpoint::from_bytes(&blob[..len]).is_err(),
+                "truncation to {len} bytes accepted"
+            );
+        }
+        // Every single-bit flip, checksum bytes included.
         let mut flipped = blob.clone();
-        flipped[20] ^= 0x40;
-        assert!(SessionCheckpoint::from_bytes(&flipped).is_err());
-        // Bad magic (checksum recomputed so only the magic is wrong).
-        assert!(SessionCheckpoint::from_bytes(&[0u8; 4]).is_err());
-        // Empty.
-        assert!(SessionCheckpoint::from_bytes(&[]).is_err());
+        for bit in 0..blob.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert!(
+                SessionCheckpoint::from_bytes(&flipped).is_err(),
+                "bit {bit} flip accepted"
+            );
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
     }
 
     #[test]
@@ -1601,14 +1507,25 @@ mod tests {
     }
 
     #[test]
-    fn unsupported_architectures_are_reported() {
+    fn unsupported_architectures_are_refused() {
         let cfg = config();
         let w = cfg.pipeline.segmentation.window();
-        let net = ModelKind::Lstm.build(w, 9, 5).unwrap();
-        let b = ModelBundle::new(net, Normalizer::identity(9), cfg).unwrap();
-        assert!(
-            !b.supports_shared_inference(),
-            "recurrent baselines cannot run the shared scalar path"
-        );
+        for kind in [ModelKind::Lstm, ModelKind::ConvLstm2d] {
+            let net = || kind.build(w, 9, 5).unwrap();
+            assert!(
+                matches!(
+                    ModelBundle::new(net(), Normalizer::identity(9), cfg),
+                    Err(CoreError::InvalidConfig { .. })
+                ),
+                "{kind:?} bundle must be refused"
+            );
+            assert!(
+                matches!(
+                    StreamingDetector::new(net(), Normalizer::identity(9), cfg),
+                    Err(CoreError::InvalidConfig { .. })
+                ),
+                "{kind:?} detector must be refused"
+            );
+        }
     }
 }

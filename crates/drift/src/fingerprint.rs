@@ -22,6 +22,7 @@
 
 use crate::sketch::{psi, quantile_shift, AxisSketch, FeatureRange, BINS};
 use crate::DriftError;
+use prefall_core::fnv1a64;
 
 /// Raw IMU axes sketched in the input section.
 pub const INPUT_AXES: usize = 6;
@@ -54,15 +55,6 @@ pub const UNIT_RANGE: FeatureRange = FeatureRange::new(0.0, 1.0);
 
 const MAGIC: u32 = 0x5046_4446; // "PFDF"
 const VERSION: u16 = 1;
-
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Bounds-checked little-endian reader over fingerprint bytes.
 pub(crate) struct ByteReader<'a> {
