@@ -37,9 +37,9 @@
 //! [`DetectorBundle`]: prefall_core::persist::DetectorBundle
 
 use crate::BlackboxError;
-use bytes::{Buf, BufMut, BytesMut};
 use prefall_core::detector::{GuardConfig, GuardStatus};
 use prefall_nn::network::BranchStat;
+use prefall_telemetry::wire::{Reader, Writer};
 use prefall_telemetry::JsonValue;
 
 /// The workspace checksum, re-exported where the PFBB format uses it.
@@ -245,101 +245,6 @@ pub struct IncidentDump {
     pub windows: Vec<WindowRecord>,
 }
 
-fn put_str(buf: &mut BytesMut, s: &str) {
-    let bytes = s.as_bytes();
-    buf.put_u16_le(bytes.len().min(u16::MAX as usize) as u16);
-    buf.put_slice(&bytes[..bytes.len().min(u16::MAX as usize)]);
-}
-
-fn put_opt_u64(buf: &mut BytesMut, v: Option<u64>) {
-    match v {
-        Some(v) => {
-            buf.put_u8(1);
-            buf.put_u64_le(v);
-        }
-        None => buf.put_u8(0),
-    }
-}
-
-fn put_opt_f64(buf: &mut BytesMut, v: Option<f64>) {
-    match v {
-        Some(v) => {
-            buf.put_u8(1);
-            buf.put_f64_le(v);
-        }
-        None => buf.put_u8(0),
-    }
-}
-
-/// Bounded reader helpers returning `BlackboxError::Format` on
-/// truncation instead of panicking.
-struct Reader<'a> {
-    buf: &'a [u8],
-}
-
-impl<'a> Reader<'a> {
-    fn need(&self, n: usize, what: &str) -> Result<(), BlackboxError> {
-        if self.buf.remaining() < n {
-            return Err(BlackboxError::Format(format!("truncated {what}")));
-        }
-        Ok(())
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8, BlackboxError> {
-        self.need(1, what)?;
-        Ok(self.buf.get_u8())
-    }
-
-    fn u16(&mut self, what: &str) -> Result<u16, BlackboxError> {
-        self.need(2, what)?;
-        Ok(self.buf.get_u16_le())
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, BlackboxError> {
-        self.need(4, what)?;
-        Ok(self.buf.get_u32_le())
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, BlackboxError> {
-        self.need(8, what)?;
-        Ok(self.buf.get_u64_le())
-    }
-
-    fn f32(&mut self, what: &str) -> Result<f32, BlackboxError> {
-        self.need(4, what)?;
-        Ok(self.buf.get_f32_le())
-    }
-
-    fn f64(&mut self, what: &str) -> Result<f64, BlackboxError> {
-        self.need(8, what)?;
-        Ok(self.buf.get_f64_le())
-    }
-
-    fn str(&mut self, what: &str) -> Result<String, BlackboxError> {
-        let n = self.u16(what)? as usize;
-        self.need(n, what)?;
-        let s = std::str::from_utf8(&self.buf[..n])
-            .map_err(|_| BlackboxError::Format(format!("non-UTF-8 {what}")))?
-            .to_string();
-        self.buf.advance(n);
-        Ok(s)
-    }
-
-    fn opt_u64(&mut self, what: &str) -> Result<Option<u64>, BlackboxError> {
-        Ok(match self.u8(what)? {
-            0 => None,
-            _ => Some(self.u64(what)?),
-        })
-    }
-
-    fn opt_f64(&mut self, what: &str) -> Result<Option<f64>, BlackboxError> {
-        Ok(match self.u8(what)? {
-            0 => None,
-            _ => Some(self.f64(what)?),
-        })
-    }
-}
-
 fn guard_status_fields(g: &GuardStatus) -> [u64; 12] {
     [
         g.samples,
@@ -362,19 +267,19 @@ impl IncidentDump {
     /// consecutive, guard) — the bytes [`IncidentDump::config_hash`]
     /// covers.
     fn config_bytes(&self) -> Vec<u8> {
-        let mut buf = BytesMut::new();
-        buf.put_f32_le(self.threshold);
-        buf.put_u32_le(self.consecutive);
+        let mut w = Writer::default();
+        w.f32(self.threshold);
+        w.u32(self.consecutive);
         let g = &self.guard_config;
-        buf.put_u8(u8::from(g.enabled));
-        buf.put_f32_le(g.accel_limit_g);
-        buf.put_f32_le(g.gyro_limit_rads);
-        buf.put_u32_le(g.max_gap_fill as u32);
-        buf.put_u32_le(g.stuck_window as u32);
-        buf.put_u32_le(g.fault_debounce);
-        buf.put_u32_le(g.accel_confirm_window as u32);
-        buf.put_f32_le(g.accel_confirm_dev_g);
-        buf.to_vec()
+        w.bool(g.enabled);
+        w.f32(g.accel_limit_g);
+        w.f32(g.gyro_limit_rads);
+        w.u32(g.max_gap_fill as u32);
+        w.u32(g.stuck_window as u32);
+        w.u32(g.fault_debounce);
+        w.u32(g.accel_confirm_window as u32);
+        w.f32(g.accel_confirm_dev_g);
+        w.finish()
     }
 
     /// FNV-1a hash of the detector configuration the incident ran
@@ -392,158 +297,142 @@ impl IncidentDump {
     /// layout).
     pub fn to_bytes(&self) -> Vec<u8> {
         let config = self.config_bytes();
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
-        buf.put_u32_le(VERSION);
-        buf.put_u8(self.kind.tag());
-        put_str(&mut buf, &self.id);
-        put_str(&mut buf, &self.reason);
-        buf.put_u64_le(self.created_at_sample);
-        buf.put_u8(u8::from(self.truncated));
-        match &self.trial {
-            Some(t) => {
-                buf.put_u8(1);
-                buf.put_u32_le(t.subject);
-                buf.put_u32_le(t.task);
-                buf.put_u32_le(t.trial_index);
-                buf.put_u8(u8::from(t.is_fall));
-                put_opt_u64(&mut buf, t.impact);
-            }
-            None => buf.put_u8(0),
-        }
-        put_opt_u64(&mut buf, self.triggered_at);
-        put_opt_f64(&mut buf, self.lead_time_ms);
-        buf.put_slice(&config);
-        buf.put_u64_le(fnv1a64(&config));
-        buf.put_u64_le(self.model_hash());
+        let mut w = Writer::default();
+        w.bytes(MAGIC);
+        w.u32(VERSION);
+        w.u8(self.kind.tag());
+        w.str(&self.id);
+        w.str(&self.reason);
+        w.u64(self.created_at_sample);
+        w.bool(self.truncated);
+        w.option(self.trial, |w, t| {
+            w.u32(t.subject);
+            w.u32(t.task);
+            w.u32(t.trial_index);
+            w.bool(t.is_fall);
+            w.option(t.impact, Writer::u64);
+        });
+        w.option(self.triggered_at, Writer::u64);
+        w.option(self.lead_time_ms, Writer::f64);
+        w.bytes(&config);
+        w.u64(fnv1a64(&config));
+        w.u64(self.model_hash());
         for v in guard_status_fields(&self.guard) {
-            buf.put_u64_le(v);
+            w.u64(v);
         }
-        buf.put_u32_le(self.model_blob.len() as u32);
-        buf.put_slice(&self.model_blob);
-        buf.put_u32_le(self.samples.len() as u32);
+        w.u32(self.model_blob.len() as u32);
+        w.bytes(&self.model_blob);
+        w.u32(self.samples.len() as u32);
         for s in &self.samples {
-            buf.put_u8(s.flags);
-            for v in s.accel.iter().chain(s.gyro.iter()) {
-                buf.put_f32_le(*v);
+            w.u8(s.flags);
+            for &v in s.accel.iter().chain(&s.gyro) {
+                w.f32(v);
             }
         }
-        buf.put_u32_le(self.windows.len() as u32);
-        for w in &self.windows {
-            buf.put_u64_le(w.at_sample);
-            buf.put_f32_le(w.score);
-            buf.put_u8(w.flags);
-            buf.put_u8(w.n_branch);
-            for b in w.attribution() {
-                buf.put_u32_le(b.output_len);
-                buf.put_f32_le(b.l2);
-                buf.put_f32_le(b.mean_abs);
-                buf.put_f32_le(b.peak);
+        w.u32(self.windows.len() as u32);
+        for rec in &self.windows {
+            w.u64(rec.at_sample);
+            w.f32(rec.score);
+            w.u8(rec.flags);
+            w.u8(rec.n_branch);
+            for b in rec.attribution() {
+                w.u32(b.output_len);
+                w.f32(b.l2);
+                w.f32(b.mean_abs);
+                w.f32(b.peak);
             }
         }
-        buf.to_vec()
+        w.finish()
     }
 
     /// Deserialises and integrity-checks a dump.
     ///
     /// # Errors
     ///
-    /// [`BlackboxError::Format`] on malformed or truncated input, and
-    /// on a config/model hash mismatch — a dump whose stored hashes do
-    /// not match its own content must not be replayed.
+    /// [`BlackboxError::Format`] on malformed, truncated or trailing
+    /// input, and on a config/model hash mismatch — a dump whose
+    /// stored hashes do not match its own content must not be
+    /// replayed.
     pub fn from_bytes(blob: &[u8]) -> Result<Self, BlackboxError> {
-        let mut r = Reader { buf: blob };
-        r.need(8, "header")?;
-        if &r.buf[..4] != MAGIC {
+        let mut r = Reader::new(blob);
+        if r.take(4)? != MAGIC {
             return Err(BlackboxError::Format("bad magic".to_string()));
         }
-        r.buf.advance(4);
-        let version = r.u32("version")?;
+        let version = r.u32()?;
         if version != VERSION {
             return Err(BlackboxError::Format(format!(
                 "unsupported version {version}"
             )));
         }
-        let kind = IncidentKind::from_tag(r.u8("kind")?)
+        let kind = IncidentKind::from_tag(r.u8()?)
             .ok_or_else(|| BlackboxError::Format("unknown incident kind".to_string()))?;
-        let id = r.str("id")?;
-        let reason = r.str("reason")?;
-        let created_at_sample = r.u64("created_at_sample")?;
-        let truncated = r.u8("truncated")? != 0;
-        let trial = match r.u8("trial tag")? {
-            0 => None,
-            _ => Some(TrialMeta {
-                subject: r.u32("trial")?,
-                task: r.u32("trial")?,
-                trial_index: r.u32("trial")?,
-                is_fall: r.u8("trial")? != 0,
-                impact: r.opt_u64("trial impact")?,
-            }),
-        };
-        let triggered_at = r.opt_u64("triggered_at")?;
-        let lead_time_ms = r.opt_f64("lead_time_ms")?;
-        let threshold = r.f32("config")?;
-        let consecutive = r.u32("config")?;
+        let id = r.str()?;
+        let reason = r.str()?;
+        let created_at_sample = r.u64()?;
+        let truncated = r.bool()?;
+        let trial = r.option(|r| {
+            Ok(TrialMeta {
+                subject: r.u32()?,
+                task: r.u32()?,
+                trial_index: r.u32()?,
+                is_fall: r.bool()?,
+                impact: r.option(Reader::u64)?,
+            })
+        })?;
+        let triggered_at = r.option(Reader::u64)?;
+        let lead_time_ms = r.option(Reader::f64)?;
+        let threshold = r.f32()?;
+        let consecutive = r.u32()?;
         let guard_config = GuardConfig {
-            enabled: r.u8("config")? != 0,
-            accel_limit_g: r.f32("config")?,
-            gyro_limit_rads: r.f32("config")?,
-            max_gap_fill: r.u32("config")? as usize,
-            stuck_window: r.u32("config")? as usize,
-            fault_debounce: r.u32("config")?,
-            accel_confirm_window: r.u32("config")? as usize,
-            accel_confirm_dev_g: r.f32("config")?,
+            enabled: r.bool()?,
+            accel_limit_g: r.f32()?,
+            gyro_limit_rads: r.f32()?,
+            max_gap_fill: r.u32()? as usize,
+            stuck_window: r.u32()? as usize,
+            fault_debounce: r.u32()?,
+            accel_confirm_window: r.u32()? as usize,
+            accel_confirm_dev_g: r.f32()?,
         };
-        let config_hash = r.u64("config_hash")?;
-        let model_hash = r.u64("model_hash")?;
-        let mut gs = [0u64; 12];
-        for v in &mut gs {
-            *v = r.u64("guard status")?;
-        }
+        let config_hash = r.u64()?;
+        let model_hash = r.u64()?;
         let guard = GuardStatus {
-            samples: gs[0],
-            nonfinite: gs[1],
-            clamped: gs[2],
-            gaps_filled: gs[3],
-            gap_lost: gs[4],
-            stuck_events: gs[5],
-            degraded_samples: gs[6],
-            degraded_windows: gs[7],
-            window_flushes: gs[8],
-            suppressed_triggers: gs[9],
-            engine_rejects: gs[10],
-            windows: gs[11],
+            samples: r.u64()?,
+            nonfinite: r.u64()?,
+            clamped: r.u64()?,
+            gaps_filled: r.u64()?,
+            gap_lost: r.u64()?,
+            stuck_events: r.u64()?,
+            degraded_samples: r.u64()?,
+            degraded_windows: r.u64()?,
+            window_flushes: r.u64()?,
+            suppressed_triggers: r.u64()?,
+            engine_rejects: r.u64()?,
+            windows: r.u64()?,
             // Not part of the v1 wire format: grid regressions are a
             // transport condition, invisible to the single-stream
             // replay this dump feeds.
             ts_regression: 0,
         };
-        let blob_len = r.u32("model blob len")? as usize;
-        r.need(blob_len, "model blob")?;
-        let model_blob = r.buf[..blob_len].to_vec();
-        r.buf.advance(blob_len);
-        let n_samples = r.u32("sample count")? as usize;
-        r.need(n_samples * 25, "samples")?;
-        let mut samples = Vec::with_capacity(n_samples);
+        let blob_len = r.u32()? as usize;
+        let model_blob = r.take(blob_len)?.to_vec();
+        // A sample is a flags byte and six f32s.
+        let n_samples = r.u32()? as usize;
+        let mut samples = Vec::with_capacity(r.count(n_samples, 25)?);
         for _ in 0..n_samples {
-            let flags = r.u8("sample")?;
-            let mut vals = [0f32; 6];
-            for v in &mut vals {
-                *v = r.f32("sample")?;
-            }
             samples.push(SampleRecord {
-                flags,
-                accel: [vals[0], vals[1], vals[2]],
-                gyro: [vals[3], vals[4], vals[5]],
+                flags: r.u8()?,
+                accel: [r.f32()?, r.f32()?, r.f32()?],
+                gyro: [r.f32()?, r.f32()?, r.f32()?],
             });
         }
-        let n_windows = r.u32("window count")? as usize;
-        let mut windows = Vec::with_capacity(n_windows.min(1 << 20));
+        // A window is at least at_sample, score, flags and n_branch.
+        let n_windows = r.u32()? as usize;
+        let mut windows = Vec::with_capacity(r.count(n_windows, 14)?);
         for _ in 0..n_windows {
-            let at_sample = r.u64("window")?;
-            let score = r.f32("window")?;
-            let flags = r.u8("window")?;
-            let n_branch = r.u8("window")?;
+            let at_sample = r.u64()?;
+            let score = r.f32()?;
+            let flags = r.u8()?;
+            let n_branch = r.u8()?;
             if n_branch as usize > MAX_BRANCHES {
                 return Err(BlackboxError::Format(format!(
                     "window holds {n_branch} branches (max {MAX_BRANCHES})"
@@ -552,10 +441,10 @@ impl IncidentDump {
             let mut branches = [EMPTY_STAT; MAX_BRANCHES];
             for b in branches.iter_mut().take(n_branch as usize) {
                 *b = BranchStat {
-                    output_len: r.u32("branch")?,
-                    l2: r.f32("branch")?,
-                    mean_abs: r.f32("branch")?,
-                    peak: r.f32("branch")?,
+                    output_len: r.u32()?,
+                    l2: r.f32()?,
+                    mean_abs: r.f32()?,
+                    peak: r.f32()?,
                 };
             }
             windows.push(WindowRecord {
@@ -566,6 +455,7 @@ impl IncidentDump {
                 branches,
             });
         }
+        r.expect_end()?;
         let dump = Self {
             id,
             kind,
@@ -609,16 +499,19 @@ impl IncidentDump {
     /// [`BlackboxError::Format`] on non-hex input or any
     /// [`IncidentDump::from_bytes`] failure.
     pub fn from_hex(hex: &str) -> Result<Self, BlackboxError> {
-        let hex = hex.trim();
+        let hex = hex.trim().as_bytes();
         if !hex.len().is_multiple_of(2) {
             return Err(BlackboxError::Format("odd hex length".to_string()));
         }
-        let mut bytes = Vec::with_capacity(hex.len() / 2);
-        for i in (0..hex.len()).step_by(2) {
-            let b = u8::from_str_radix(&hex[i..i + 2], 16)
-                .map_err(|_| BlackboxError::Format("non-hex digit".to_string()))?;
-            bytes.push(b);
-        }
+        let digit = |c: u8| {
+            char::from(c)
+                .to_digit(16)
+                .ok_or_else(|| BlackboxError::Format("non-hex digit".to_string()))
+        };
+        let bytes = hex
+            .chunks_exact(2)
+            .map(|pair| Ok(((digit(pair[0])? << 4) | digit(pair[1])?) as u8))
+            .collect::<Result<Vec<u8>, BlackboxError>>()?;
         Self::from_bytes(&bytes)
     }
 
@@ -856,6 +749,8 @@ mod tests {
         assert!(IncidentDump::from_bytes(&tampered).is_err());
         assert!(IncidentDump::from_hex("zz").is_err());
         assert!(IncidentDump::from_hex("abc").is_err());
+        // A multi-byte character where a hex pair should be.
+        assert!(IncidentDump::from_hex("aé0").is_err());
     }
 
     #[test]

@@ -81,4 +81,10 @@ impl std::fmt::Display for BlackboxError {
     }
 }
 
+impl From<prefall_telemetry::wire::WireError> for BlackboxError {
+    fn from(e: prefall_telemetry::wire::WireError) -> Self {
+        BlackboxError::Format(e.to_string())
+    }
+}
+
 impl std::error::Error for BlackboxError {}

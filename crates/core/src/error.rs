@@ -75,6 +75,14 @@ impl From<prefall_mcu::McuError> for CoreError {
     }
 }
 
+impl From<prefall_telemetry::wire::WireError> for CoreError {
+    fn from(e: prefall_telemetry::wire::WireError) -> Self {
+        CoreError::InvalidConfig {
+            reason: format!("malformed binary data: {e}"),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

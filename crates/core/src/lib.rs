@@ -74,10 +74,11 @@ pub mod tap;
 pub mod threshold;
 pub mod tuning;
 
-mod checksum;
 mod error;
 mod tracenames;
 mod worker;
 
-pub use checksum::fnv1a64;
 pub use error::CoreError;
+/// The one checksum behind every checksummed binary format (session
+/// checkpoints, PFDF fingerprints) and the PFBB content hashes.
+pub use prefall_telemetry::wire::fnv1a64;

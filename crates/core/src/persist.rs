@@ -19,12 +19,13 @@
 
 use crate::models::ModelKind;
 use crate::pipeline::PipelineConfig;
+use crate::session::MAX_WINDOW_ROWS;
 use crate::CoreError;
-use bytes::{Buf, BufMut, BytesMut};
 use prefall_dsp::segment::{Overlap, Segmentation};
 use prefall_dsp::stats::Normalizer;
 use prefall_nn::network::Network;
 use prefall_nn::serialize::{load_weights, save_weights};
+use prefall_telemetry::wire::{Reader, Writer};
 
 const MAGIC: &[u8; 4] = b"PFDB";
 const VERSION: u32 = 1;
@@ -94,34 +95,31 @@ impl DetectorBundle {
     /// Serialises the bundle.
     pub fn to_bytes(&mut self) -> Vec<u8> {
         let weights = save_weights(&mut self.network);
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
-        buf.put_u32_le(VERSION);
-        buf.put_u8(model_tag(self.model));
-        buf.put_u32_le(self.window as u32);
-        buf.put_u32_le(self.channels as u32);
-        buf.put_u64_le(self.init_seed);
+        let mut w = Writer::default();
+        w.bytes(MAGIC);
+        w.u32(VERSION);
+        w.u8(model_tag(self.model));
+        w.u32(self.window as u32);
+        w.u32(self.channels as u32);
+        w.u64(self.init_seed);
 
         let p = &self.pipeline;
-        buf.put_f64_le(p.filter_cutoff_hz);
-        buf.put_u32_le(p.filter_order as u32);
-        buf.put_u32_le(p.segmentation.window() as u32);
-        buf.put_u8(overlap_tag(p.segmentation.overlap()));
-        buf.put_f64_le(p.positive_overlap);
-        buf.put_f64_le(p.discard_margin_s);
-        buf.put_u32_le(p.airbag_budget_samples as u32);
+        w.f64(p.filter_cutoff_hz);
+        w.u32(p.filter_order as u32);
+        w.u32(p.segmentation.window() as u32);
+        w.u8(overlap_tag(p.segmentation.overlap()));
+        w.f64(p.positive_overlap);
+        w.f64(p.discard_margin_s);
+        w.u32(p.airbag_budget_samples as u32);
 
-        buf.put_u32_le(self.normalizer.channels() as u32);
-        for &m in self.normalizer.means() {
-            buf.put_f32_le(m);
-        }
-        for &s in self.normalizer.stds() {
-            buf.put_f32_le(s);
+        w.u32(self.normalizer.channels() as u32);
+        for &v in self.normalizer.means().iter().chain(self.normalizer.stds()) {
+            w.f32(v);
         }
 
-        buf.put_u32_le(weights.len() as u32);
-        buf.put_slice(&weights);
-        buf.to_vec()
+        w.u32(weights.len() as u32);
+        w.bytes(&weights);
+        w.finish()
     }
 
     /// Deserialises a bundle, rebuilding the architecture and loading
@@ -129,66 +127,59 @@ impl DetectorBundle {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidConfig`] for malformed blobs and
-    /// propagates model/weight errors.
+    /// Returns [`CoreError::InvalidConfig`] for malformed blobs —
+    /// including a header `window`/`channels` that disagrees with the
+    /// stored segmentation or normaliser, or a window longer than
+    /// [`MAX_WINDOW_ROWS`] — and propagates model/weight errors.
     pub fn from_bytes(blob: &[u8]) -> Result<Self, CoreError> {
-        let mut buf = blob;
         let bad = |reason: &str| CoreError::InvalidConfig {
             reason: format!("detector bundle: {reason}"),
         };
-        if buf.remaining() < 8 || &buf[..4] != MAGIC {
+        let mut r = Reader::new(blob);
+        if r.take(4)? != MAGIC {
             return Err(bad("bad magic"));
         }
-        buf.advance(4);
-        if buf.get_u32_le() != VERSION {
+        if r.u32()? != VERSION {
             return Err(bad("unsupported version"));
         }
-        if buf.remaining() < 1 + 4 + 4 + 8 {
-            return Err(bad("truncated header"));
-        }
-        let model = model_from_tag(buf.get_u8()).ok_or_else(|| bad("unknown model tag"))?;
-        let window = buf.get_u32_le() as usize;
-        let channels = buf.get_u32_le() as usize;
-        let init_seed = buf.get_u64_le();
+        let model = model_from_tag(r.u8()?).ok_or_else(|| bad("unknown model tag"))?;
+        let window = r.u32()? as usize;
+        let channels = r.u32()? as usize;
+        let init_seed = r.u64()?;
 
-        if buf.remaining() < 8 + 4 + 4 + 1 + 8 + 8 + 4 {
-            return Err(bad("truncated pipeline config"));
-        }
-        let filter_cutoff_hz = buf.get_f64_le();
-        let filter_order = buf.get_u32_le() as usize;
-        let seg_window = buf.get_u32_le() as usize;
-        let overlap = overlap_from_tag(buf.get_u8()).ok_or_else(|| bad("unknown overlap tag"))?;
-        let positive_overlap = buf.get_f64_le();
-        let discard_margin_s = buf.get_f64_le();
-        let airbag_budget_samples = buf.get_u32_le() as usize;
-        let segmentation = Segmentation::new(seg_window, overlap)?;
         let pipeline = PipelineConfig {
-            filter_cutoff_hz,
-            filter_order,
-            segmentation,
-            positive_overlap,
-            discard_margin_s,
-            airbag_budget_samples,
+            filter_cutoff_hz: r.f64()?,
+            filter_order: r.u32()? as usize,
+            segmentation: Segmentation::new(
+                r.u32()? as usize,
+                overlap_from_tag(r.u8()?).ok_or_else(|| bad("unknown overlap tag"))?,
+            )?,
+            positive_overlap: r.f64()?,
+            discard_margin_s: r.f64()?,
+            airbag_budget_samples: r.u32()? as usize,
         };
+        if window != pipeline.segmentation.window() {
+            return Err(bad("window disagrees with the segmentation window"));
+        }
+        if window > MAX_WINDOW_ROWS {
+            return Err(bad("implausible window length"));
+        }
 
-        if buf.remaining() < 4 {
-            return Err(bad("truncated normalizer"));
-        }
-        let n = buf.get_u32_le() as usize;
-        if buf.remaining() < n * 8 + 4 {
-            return Err(bad("truncated normalizer data"));
-        }
-        let means: Vec<f32> = (0..n).map(|_| buf.get_f32_le()).collect();
-        let stds: Vec<f32> = (0..n).map(|_| buf.get_f32_le()).collect();
+        let n = r.u32()? as usize;
+        r.count(n, 8)?;
+        let means = (0..n).map(|_| r.f32()).collect::<Result<Vec<_>, _>>()?;
+        let stds = (0..n).map(|_| r.f32()).collect::<Result<Vec<_>, _>>()?;
         let normalizer = Normalizer::from_parts(means, stds)
             .map_err(|reason| bad(&format!("normalizer: {reason}")))?;
-
-        let wlen = buf.get_u32_le() as usize;
-        if buf.remaining() < wlen {
-            return Err(bad("truncated weights"));
+        if channels != n {
+            return Err(bad("channels disagree with the normalizer"));
         }
+
+        let weights_len = r.u32()? as usize;
+        let weights = r.take(weights_len)?;
+        r.expect_end()?;
         let mut network = model.build(window, channels, init_seed)?;
-        load_weights(&mut network, &buf[..wlen])?;
+        load_weights(&mut network, weights)?;
 
         Ok(Self {
             model,
@@ -249,6 +240,22 @@ mod tests {
         let mut bad_model = blob;
         bad_model[8] = 99;
         assert!(DetectorBundle::from_bytes(&bad_model).is_err());
+    }
+
+    #[test]
+    fn hostile_headers_are_refused_before_building() {
+        let blob = bundle().to_bytes();
+        let patch = |blob: &[u8], at: usize, v: u32| {
+            let mut b = blob.to_vec();
+            b[at..at + 4].copy_from_slice(&v.to_le_bytes());
+            b
+        };
+        // Header window at byte 9, channels at 13, segmentation
+        // window at 37.
+        let huge = patch(&blob, 9, 1 << 30);
+        assert!(DetectorBundle::from_bytes(&huge).is_err());
+        assert!(DetectorBundle::from_bytes(&patch(&huge, 37, 1 << 30)).is_err());
+        assert!(DetectorBundle::from_bytes(&patch(&blob, 13, 10)).is_err());
     }
 
     #[test]

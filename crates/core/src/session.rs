@@ -41,7 +41,7 @@ use crate::detector::{
     TrialOutcome,
 };
 use crate::tap::{DetectorTap, SampleTapCtx, WindowTap};
-use crate::{fnv1a64, CoreError};
+use crate::CoreError;
 use prefall_dsp::biquad::SosFilter;
 use prefall_dsp::butterworth::Butterworth;
 use prefall_dsp::fusion::{ComplementaryFilter, EulerAngles};
@@ -51,6 +51,7 @@ use prefall_imu::trial::{Trial, FUSION_ALPHA};
 use prefall_imu::SAMPLE_RATE_HZ;
 use prefall_nn::network::BranchStat;
 use prefall_nn::workspace::Workspace;
+use prefall_telemetry::wire::{Reader, Writer};
 use prefall_telemetry::{Recorder, Span};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -886,122 +887,64 @@ pub struct SessionCheckpoint {
 const CHECKPOINT_MAGIC: u32 = 0x5046_5343;
 const CHECKPOINT_VERSION: u16 = 1;
 
-struct ByteReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> ByteReader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CoreError> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.buf.len());
-        let Some(end) = end else {
-            return Err(CoreError::InvalidConfig {
-                reason: "truncated session checkpoint".to_string(),
-            });
-        };
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, CoreError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, CoreError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2")))
-    }
-
-    fn u32(&mut self) -> Result<u32, CoreError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    fn u64(&mut self) -> Result<u64, CoreError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    fn f32(&mut self) -> Result<f32, CoreError> {
-        Ok(f32::from_bits(self.u32()?))
-    }
-
-    fn f64(&mut self) -> Result<f64, CoreError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn bool(&mut self) -> Result<bool, CoreError> {
-        Ok(self.u8()? != 0)
-    }
-}
+/// Longest window, in rows, a persisted detector may declare (~40 s
+/// at 100 Hz — no real configuration comes close). Session
+/// checkpoints and detector bundles both refuse anything longer.
+pub const MAX_WINDOW_ROWS: usize = 4096;
 
 impl SessionCheckpoint {
     /// Serialises to the versioned `PFSC` byte format with a trailing
     /// FNV-1a checksum.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut b = Vec::with_capacity(128 + self.window.len() * NUM_CHANNELS * 4);
-        b.extend_from_slice(&CHECKPOINT_MAGIC.to_le_bytes());
-        b.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
-        b.extend_from_slice(&(NUM_CHANNELS as u16).to_le_bytes());
-        b.extend_from_slice(&self.samples_seen.to_le_bytes());
-        b.extend_from_slice(&self.positives_in_a_row.to_le_bytes());
+        let mut w = Writer::with_capacity(128 + self.window.len() * NUM_CHANNELS * 4);
+        w.u32(CHECKPOINT_MAGIC);
+        w.u16(CHECKPOINT_VERSION);
+        w.u16(NUM_CHANNELS as u16);
+        w.u64(self.samples_seen);
+        w.u64(self.positives_in_a_row);
 
-        b.extend_from_slice(
-            &u32::try_from(self.window.len())
-                .expect("window rows")
-                .to_le_bytes(),
-        );
-        for row in &self.window {
-            for v in row {
-                b.extend_from_slice(&v.to_bits().to_le_bytes());
-            }
+        w.u32(u32::try_from(self.window.len()).expect("window rows"));
+        for &v in self.window.iter().flatten() {
+            w.f32(v);
         }
 
-        b.extend_from_slice(
-            &u16::try_from(self.filters.len())
-                .expect("channels")
-                .to_le_bytes(),
-        );
+        w.u16(u16::try_from(self.filters.len()).expect("channels"));
         let sections = self.filters.first().map_or(0, Vec::len);
-        b.extend_from_slice(&u16::try_from(sections).expect("sections").to_le_bytes());
+        w.u16(u16::try_from(sections).expect("sections"));
         for states in &self.filters {
             debug_assert_eq!(states.len(), sections, "ragged filter cascade");
             for &(s1, s2) in states {
-                b.extend_from_slice(&s1.to_bits().to_le_bytes());
-                b.extend_from_slice(&s2.to_bits().to_le_bytes());
+                w.f64(s1);
+                w.f64(s2);
             }
         }
 
-        for v in [
-            self.fusion_angles.pitch,
-            self.fusion_angles.roll,
-            self.fusion_angles.yaw,
-        ] {
-            b.extend_from_slice(&v.to_bits().to_le_bytes());
+        let a = &self.fusion_angles;
+        for v in [a.pitch, a.roll, a.yaw] {
+            w.f64(v);
         }
-        b.push(u8::from(self.fusion_init));
+        w.bool(self.fusion_init);
 
         let g = &self.guard;
-        b.push(u8::from(g.last_good.is_some()));
+        w.bool(g.last_good.is_some());
         let (la, lg) = g.last_good.unwrap_or(([0.0; 3], [0.0; 3]));
-        for v in la.iter().chain(lg.iter()) {
-            b.extend_from_slice(&v.to_bits().to_le_bytes());
+        for &v in la.iter().chain(&lg) {
+            w.f32(v);
         }
-        b.extend_from_slice(&g.gap_run.to_le_bytes());
-        b.push(u8::from(g.pending_flush));
-        for v in &g.axis_last {
-            b.extend_from_slice(&v.to_bits().to_le_bytes());
+        w.u64(g.gap_run);
+        w.bool(g.pending_flush);
+        for v in g.axis_last {
+            w.f32(v);
         }
-        for v in &g.axis_run {
-            b.extend_from_slice(&v.to_le_bytes());
+        for &v in g.axis_run.iter().chain(&g.bad_run) {
+            w.u32(v);
         }
-        for v in &g.bad_run {
-            b.extend_from_slice(&v.to_le_bytes());
+        for v in g.stuck {
+            w.bool(v);
         }
-        for v in &g.stuck {
-            b.push(u8::from(*v));
-        }
-        b.extend_from_slice(&g.anomaly_age.to_le_bytes());
+        w.u32(g.anomaly_age);
         for v in [g.mode.accel_degraded, g.mode.gyro_degraded, g.mode.stale] {
-            b.push(u8::from(v));
+            w.bool(v);
         }
         let s = &g.status;
         for v in [
@@ -1019,13 +962,10 @@ impl SessionCheckpoint {
             s.windows,
             s.ts_regression,
         ] {
-            b.extend_from_slice(&v.to_le_bytes());
+            w.u64(v);
         }
-        b.extend_from_slice(&g.next_tick.to_le_bytes());
-
-        let checksum = fnv1a64(&b);
-        b.extend_from_slice(&checksum.to_le_bytes());
-        b
+        w.u64(g.next_tick);
+        w.finish_checksummed()
     }
 
     /// Deserialises a checkpoint produced by
@@ -1040,15 +980,7 @@ impl SessionCheckpoint {
         let bad = |reason: &str| CoreError::InvalidConfig {
             reason: reason.to_string(),
         };
-        if bytes.len() < 8 {
-            return Err(bad("session checkpoint too short"));
-        }
-        let (body, tail) = bytes.split_at(bytes.len() - 8);
-        let stored = u64::from_le_bytes(tail.try_into().expect("8"));
-        if fnv1a64(body) != stored {
-            return Err(bad("session checkpoint checksum mismatch"));
-        }
-        let mut r = ByteReader { buf: body, pos: 0 };
+        let mut r = Reader::checksummed(bytes)?;
         if r.u32()? != CHECKPOINT_MAGIC {
             return Err(bad("not a session checkpoint (bad magic)"));
         }
@@ -1062,11 +994,10 @@ impl SessionCheckpoint {
         let positives_in_a_row = r.u64()?;
 
         let rows = r.u32()? as usize;
-        // A window longer than ~20 s of samples is not a real config.
-        if rows > 4096 {
+        if rows > MAX_WINDOW_ROWS {
             return Err(bad("implausible session checkpoint window length"));
         }
-        let mut window = Vec::with_capacity(rows);
+        let mut window = Vec::with_capacity(r.count(rows, NUM_CHANNELS * 4)?);
         for _ in 0..rows {
             let mut row = [0.0f32; NUM_CHANNELS];
             for v in &mut row {
@@ -1075,12 +1006,12 @@ impl SessionCheckpoint {
             window.push(row);
         }
 
-        let channels = r.u16()? as usize;
-        let sections = r.u16()? as usize;
-        if channels > 64 || sections > 64 {
+        let channels = usize::from(r.u16()?);
+        let sections = usize::from(r.u16()?);
+        if channels == 0 && sections != 0 {
             return Err(bad("implausible session checkpoint filter shape"));
         }
-        let mut filters = Vec::with_capacity(channels);
+        let mut filters = Vec::with_capacity(r.count(channels, sections * 16)?);
         for _ in 0..channels {
             let mut states = Vec::with_capacity(sections);
             for _ in 0..sections {
@@ -1098,6 +1029,9 @@ impl SessionCheckpoint {
         for v in la.iter_mut().chain(lg.iter_mut()) {
             *v = r.f32()?;
         }
+        if !has_last_good && la.iter().chain(&lg).any(|v| v.to_bits() != 0) {
+            return Err(bad("session checkpoint holds a stray last-good sample"));
+        }
         let gap_run = r.u64()?;
         let pending_flush = r.bool()?;
         let mut axis_last = [0.0f32; 6];
@@ -1105,11 +1039,8 @@ impl SessionCheckpoint {
             *v = r.f32()?;
         }
         let mut axis_run = [0u32; 6];
-        for v in &mut axis_run {
-            *v = r.u32()?;
-        }
         let mut bad_run = [0u32; 2];
-        for v in &mut bad_run {
+        for v in axis_run.iter_mut().chain(bad_run.iter_mut()) {
             *v = r.u32()?;
         }
         let stuck = [r.bool()?, r.bool()?];
@@ -1135,9 +1066,7 @@ impl SessionCheckpoint {
             ts_regression: r.u64()?,
         };
         let next_tick = r.u64()?;
-        if r.pos != body.len() {
-            return Err(bad("trailing bytes in session checkpoint"));
-        }
+        r.expect_end()?;
         Ok(Self {
             samples_seen,
             positives_in_a_row,
@@ -1430,6 +1359,22 @@ mod tests {
             );
             flipped[bit / 8] ^= 1 << (bit % 8);
         }
+    }
+
+    #[test]
+    fn checkpoint_bytes_are_pinned() {
+        // Pins the PFSC byte layout: any change to it changes the hash.
+        let b = bundle();
+        let mut s = b.new_session();
+        for i in 0..40 {
+            let (a, g) = wiggle(i);
+            let _ = s.push_sample(&b, a, g);
+        }
+        let _ = s.push_missing(&b);
+        assert_eq!(
+            crate::fnv1a64(&s.checkpoint().to_bytes()),
+            0xddeb_9817_ce98_4375
+        );
     }
 
     #[test]

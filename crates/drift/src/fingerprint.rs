@@ -22,7 +22,7 @@
 
 use crate::sketch::{psi, quantile_shift, AxisSketch, FeatureRange, BINS};
 use crate::DriftError;
-use prefall_core::fnv1a64;
+use prefall_telemetry::wire::{Reader, Writer};
 
 /// Raw IMU axes sketched in the input section.
 pub const INPUT_AXES: usize = 6;
@@ -55,55 +55,6 @@ pub const UNIT_RANGE: FeatureRange = FeatureRange::new(0.0, 1.0);
 
 const MAGIC: u32 = 0x5046_4446; // "PFDF"
 const VERSION: u16 = 1;
-
-/// Bounds-checked little-endian reader over fingerprint bytes.
-pub(crate) struct ByteReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> ByteReader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        if end > self.bytes.len() {
-            return None;
-        }
-        let s = &self.bytes[self.pos..end];
-        self.pos = end;
-        Some(s)
-    }
-
-    fn u16(&mut self) -> Option<u16> {
-        self.take(2).map(|b| u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4)
-            .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    pub(crate) fn u64(&mut self) -> Option<u64> {
-        self.take(8)
-            .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
-
-    pub(crate) fn i64(&mut self) -> Option<i64> {
-        self.u64().map(|v| v as i64)
-    }
-
-    pub(crate) fn i128(&mut self) -> Option<i128> {
-        self.take(16)
-            .map(|b| i128::from_le_bytes(b.try_into().expect("16 bytes")))
-    }
-
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-}
 
 /// Mergeable distribution fingerprint of a detector stream (or of a
 /// whole fleet, after merging).
@@ -199,24 +150,18 @@ impl Fingerprint {
     /// FNV-1a 64 checksum. Two fingerprints holding the same data
     /// produce identical bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(
+        let mut w = Writer::with_capacity(
             4 + 2 + 6 + (INPUT_AXES + 1 + SHARE_BRANCHES) * AxisSketch::WIRE_LEN + 8,
         );
-        out.extend_from_slice(&MAGIC.to_le_bytes());
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&(INPUT_AXES as u16).to_le_bytes());
-        out.extend_from_slice(&(SHARE_BRANCHES as u16).to_le_bytes());
-        out.extend_from_slice(&(BINS as u16).to_le_bytes());
-        for s in &self.input {
-            s.write_bytes(&mut out);
+        w.u32(MAGIC);
+        w.u16(VERSION);
+        w.u16(INPUT_AXES as u16);
+        w.u16(SHARE_BRANCHES as u16);
+        w.u16(BINS as u16);
+        for s in self.sketches() {
+            s.write_bytes(&mut w);
         }
-        self.score.write_bytes(&mut out);
-        for s in &self.shares {
-            s.write_bytes(&mut out);
-        }
-        let checksum = fnv1a64(&out);
-        out.extend_from_slice(&checksum.to_le_bytes());
-        out
+        w.finish_checksummed()
     }
 
     /// Parses and validates `PFDF` bytes.
@@ -227,56 +172,44 @@ impl Fingerprint {
     /// mismatch, truncation, trailing garbage, checksum mismatch, or
     /// internally inconsistent sketches.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, DriftError> {
-        if bytes.len() < 4 + 2 + 6 + 8 {
-            return Err(DriftError::Format("fingerprint truncated".to_string()));
-        }
-        let (body, tail) = bytes.split_at(bytes.len() - 8);
-        let expect = u64::from_le_bytes(tail.try_into().expect("8 bytes"));
-        if fnv1a64(body) != expect {
-            return Err(DriftError::Format("checksum mismatch".to_string()));
-        }
-        let mut r = ByteReader::new(body);
-        if r.u32() != Some(MAGIC) {
+        let mut r = Reader::checksummed(bytes)?;
+        if r.u32()? != MAGIC {
             return Err(DriftError::Format(
                 "bad magic (not a PFDF file)".to_string(),
             ));
         }
-        match r.u16() {
-            Some(VERSION) => {}
-            Some(v) => {
-                return Err(DriftError::Format(format!("unsupported version {v}")));
-            }
-            None => return Err(DriftError::Format("fingerprint truncated".to_string())),
+        let version = r.u16()?;
+        if version != VERSION {
+            return Err(DriftError::Format(format!("unsupported version {version}")));
         }
-        let n_input = r.u16();
-        let n_share = r.u16();
-        let n_bins = r.u16();
-        if n_input != Some(INPUT_AXES as u16)
-            || n_share != Some(SHARE_BRANCHES as u16)
-            || n_bins != Some(BINS as u16)
-        {
+        let shape = [r.u16()?, r.u16()?, r.u16()?];
+        if shape != [INPUT_AXES as u16, SHARE_BRANCHES as u16, BINS as u16] {
             return Err(DriftError::Format(format!(
-                "shape mismatch: {n_input:?} axes / {n_share:?} branches / {n_bins:?} bins"
+                "shape mismatch: {} axes / {} branches / {} bins",
+                shape[0], shape[1], shape[2]
             )));
         }
         let mut fp = Fingerprint::new();
-        for s in fp.input.iter_mut() {
-            *s = AxisSketch::read_bytes(&mut r)
-                .ok_or_else(|| DriftError::Format("corrupt input sketch".to_string()))?;
+        for s in fp.sketches_mut() {
+            *s = AxisSketch::read_bytes(&mut r)?;
         }
-        fp.score = AxisSketch::read_bytes(&mut r)
-            .ok_or_else(|| DriftError::Format("corrupt score sketch".to_string()))?;
-        for s in fp.shares.iter_mut() {
-            *s = AxisSketch::read_bytes(&mut r)
-                .ok_or_else(|| DriftError::Format("corrupt share sketch".to_string()))?;
-        }
-        if r.remaining() != 0 {
-            return Err(DriftError::Format(format!(
-                "{} trailing bytes",
-                r.remaining()
-            )));
-        }
+        r.expect_end()?;
         Ok(fp)
+    }
+
+    /// Every sketch in wire order: input, score, shares.
+    fn sketches(&self) -> impl Iterator<Item = &AxisSketch> {
+        self.input
+            .iter()
+            .chain(std::iter::once(&self.score))
+            .chain(&self.shares)
+    }
+
+    fn sketches_mut(&mut self) -> impl Iterator<Item = &mut AxisSketch> {
+        self.input
+            .iter_mut()
+            .chain(std::iter::once(&mut self.score))
+            .chain(&mut self.shares)
     }
 }
 

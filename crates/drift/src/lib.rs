@@ -90,3 +90,9 @@ impl std::fmt::Display for DriftError {
 }
 
 impl std::error::Error for DriftError {}
+
+impl From<prefall_telemetry::wire::WireError> for DriftError {
+    fn from(e: prefall_telemetry::wire::WireError) -> Self {
+        DriftError::Format(e.to_string())
+    }
+}

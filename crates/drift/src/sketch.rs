@@ -16,6 +16,9 @@
 //! `[u64; BINS]` histogram plus a handful of scalar accumulators, so
 //! creating, clearing and merging sketches never allocates.
 
+use crate::DriftError;
+use prefall_telemetry::wire::{Reader, Writer};
+
 /// Fixed histogram resolution of every quantile sketch.
 pub const BINS: usize = 32;
 
@@ -226,19 +229,19 @@ impl AxisSketch {
     /// Serialized length in bytes (fixed).
     pub(crate) const WIRE_LEN: usize = 8 + 8 + 16 + 16 + 8 + 8 + BINS * 8;
 
-    pub(crate) fn write_bytes(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.count.to_le_bytes());
-        out.extend_from_slice(&self.skipped.to_le_bytes());
-        out.extend_from_slice(&self.sum.to_le_bytes());
-        out.extend_from_slice(&self.sum_sq.to_le_bytes());
-        out.extend_from_slice(&self.min_q.to_le_bytes());
-        out.extend_from_slice(&self.max_q.to_le_bytes());
-        for b in &self.bins {
-            out.extend_from_slice(&b.to_le_bytes());
+    pub(crate) fn write_bytes(&self, w: &mut Writer) {
+        w.u64(self.count);
+        w.u64(self.skipped);
+        w.i128(self.sum);
+        w.i128(self.sum_sq);
+        w.i64(self.min_q);
+        w.i64(self.max_q);
+        for &b in &self.bins {
+            w.u64(b);
         }
     }
 
-    pub(crate) fn read_bytes(r: &mut crate::fingerprint::ByteReader<'_>) -> Option<Self> {
+    pub(crate) fn read_bytes(r: &mut Reader<'_>) -> Result<Self, DriftError> {
         let mut s = Self::new();
         s.count = r.u64()?;
         s.skipped = r.u64()?;
@@ -253,9 +256,9 @@ impl AxisSketch {
         // observation, or the sketch was corrupted.
         let total: u64 = s.bins.iter().fold(0u64, |a, &b| a.saturating_add(b));
         if total != s.count {
-            return None;
+            return Err(DriftError::Format("corrupt sketch".to_string()));
         }
-        Some(s)
+        Ok(s)
     }
 }
 

@@ -27,6 +27,7 @@
 //!           if sample: ax ay az gx gy gz (6 × f32) }
 //! ```
 
+use prefall_telemetry::wire::{Reader, Writer};
 use prefall_telemetry::JsonValue;
 
 /// Wire magic: `"PFIB"` as a little-endian `u32`.
@@ -67,24 +68,24 @@ pub struct IngestBatch {
 impl IngestBatch {
     /// Serialises the batch into the wire layout.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut b = Vec::with_capacity(24 + self.samples.len() * 25);
-        b.extend_from_slice(&BATCH_MAGIC.to_le_bytes());
-        b.extend_from_slice(&BATCH_VERSION.to_le_bytes());
-        b.extend_from_slice(&self.wearer.to_le_bytes());
-        b.extend_from_slice(&self.seq.to_le_bytes());
-        b.extend_from_slice(&(self.samples.len() as u16).to_le_bytes());
+        let mut w = Writer::with_capacity(24 + self.samples.len() * 25);
+        w.u32(BATCH_MAGIC);
+        w.u16(BATCH_VERSION);
+        w.u64(self.wearer);
+        w.u64(self.seq);
+        w.u16(self.samples.len() as u16);
         for s in &self.samples {
             match s {
-                BatchSample::Missing => b.push(0),
+                BatchSample::Missing => w.u8(0),
                 BatchSample::Sample { accel, gyro } => {
-                    b.push(1);
-                    for v in accel.iter().chain(gyro.iter()) {
-                        b.extend_from_slice(&v.to_le_bytes());
+                    w.u8(1);
+                    for &v in accel.iter().chain(gyro) {
+                        w.f32(v);
                     }
                 }
             }
         }
-        b
+        w.finish()
     }
 
     /// Parses a batch, refusing truncation, bad magic/version, and
@@ -94,7 +95,7 @@ impl IngestBatch {
     ///
     /// A description of the first malformed construct.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
-        let mut r = Reader { bytes, pos: 0 };
+        let mut r = Reader::new(bytes);
         if r.u32()? != BATCH_MAGIC {
             return Err("bad batch magic".into());
         }
@@ -103,69 +104,27 @@ impl IngestBatch {
         }
         let wearer = r.u64()?;
         let seq = r.u64()?;
-        let count = r.u16()? as usize;
+        let count = usize::from(r.u16()?);
         if count > MAX_BATCH_SAMPLES {
             return Err(format!("batch of {count} samples exceeds cap"));
         }
-        let mut samples = Vec::with_capacity(count);
+        let mut samples = Vec::with_capacity(r.count(count, 1)?);
         for _ in 0..count {
             match r.u8()? {
                 0 => samples.push(BatchSample::Missing),
-                1 => {
-                    let mut v = [0f32; 6];
-                    for slot in &mut v {
-                        *slot = r.f32()?;
-                    }
-                    samples.push(BatchSample::Sample {
-                        accel: [v[0], v[1], v[2]],
-                        gyro: [v[3], v[4], v[5]],
-                    });
-                }
+                1 => samples.push(BatchSample::Sample {
+                    accel: [r.f32()?, r.f32()?, r.f32()?],
+                    gyro: [r.f32()?, r.f32()?, r.f32()?],
+                }),
                 k => return Err(format!("unknown sample kind {k}")),
             }
         }
-        if r.pos != bytes.len() {
-            return Err("trailing bytes after batch".into());
-        }
+        r.expect_end()?;
         Ok(Self {
             wearer,
             seq,
             samples,
         })
-    }
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Reader<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], String> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.bytes.len());
-        match end {
-            Some(end) => {
-                let s = &self.bytes[self.pos..end];
-                self.pos = end;
-                Ok(s)
-            }
-            None => Err("truncated batch".into()),
-        }
-    }
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-    fn u16(&mut self) -> Result<u16, String> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn f32(&mut self) -> Result<f32, String> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 }
 
@@ -352,6 +311,13 @@ mod tests {
         b.extend_from_slice(&u16::MAX.to_le_bytes());
         let err = IngestBatch::from_bytes(&b).unwrap_err();
         assert!(err.contains("cap"), "{err}");
+    }
+
+    #[test]
+    fn batch_bytes_are_pinned() {
+        // Pins the PFIB byte layout: any change to it changes the hash.
+        let bytes = sample_batch().to_bytes();
+        assert_eq!(prefall_core::fnv1a64(&bytes), 0x2f10_8598_4ad1_4825);
     }
 
     #[test]

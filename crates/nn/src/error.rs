@@ -54,6 +54,14 @@ impl fmt::Display for NnError {
 
 impl Error for NnError {}
 
+impl From<prefall_telemetry::wire::WireError> for NnError {
+    fn from(e: prefall_telemetry::wire::WireError) -> Self {
+        NnError::WeightMismatch {
+            reason: e.to_string(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -9,29 +9,29 @@
 
 use crate::network::Network;
 use crate::NnError;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use prefall_telemetry::wire::{Reader, Writer};
 
 const MAGIC: &[u8; 4] = b"PFNN";
 const VERSION: u32 = 1;
 
 /// Serialises a network's parameters.
-pub fn save_weights(net: &mut Network) -> Bytes {
+pub fn save_weights(net: &mut Network) -> Vec<u8> {
     let mut blocks: Vec<(String, Vec<f32>)> = Vec::new();
     net.visit_params(&mut |p| blocks.push((p.name.clone(), p.w.clone())));
 
-    let mut buf = BytesMut::new();
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION);
-    buf.put_u32_le(blocks.len() as u32);
-    for (name, w) in blocks {
-        buf.put_u32_le(name.len() as u32);
-        buf.put_slice(name.as_bytes());
-        buf.put_u32_le(w.len() as u32);
-        for v in w {
-            buf.put_f32_le(v);
+    let mut w = Writer::default();
+    w.bytes(MAGIC);
+    w.u32(VERSION);
+    w.u32(blocks.len() as u32);
+    for (name, values) in blocks {
+        w.u32(name.len() as u32);
+        w.bytes(name.as_bytes());
+        w.u32(values.len() as u32);
+        for v in values {
+            w.f32(v);
         }
     }
-    buf.freeze()
+    w.finish()
 }
 
 /// Loads parameters saved by [`save_weights`] into a structurally
@@ -39,44 +39,36 @@ pub fn save_weights(net: &mut Network) -> Bytes {
 ///
 /// # Errors
 ///
-/// Returns [`NnError::WeightMismatch`] on a malformed blob or any
-/// name/size disagreement with the target network.
+/// Returns [`NnError::WeightMismatch`] on a malformed blob (trailing
+/// bytes included) or any name/size disagreement with the target
+/// network.
 pub fn load_weights(net: &mut Network, blob: &[u8]) -> Result<(), NnError> {
-    let mut buf = blob;
     let fail = |reason: &str| NnError::WeightMismatch {
         reason: reason.to_string(),
     };
-    if buf.remaining() < 12 || &buf[..4] != MAGIC {
+    let mut r = Reader::new(blob);
+    if r.take(4)? != MAGIC {
         return Err(fail("bad magic"));
     }
-    buf.advance(4);
-    if buf.get_u32_le() != VERSION {
+    if r.u32()? != VERSION {
         return Err(fail("unsupported version"));
     }
-    let n_blocks = buf.get_u32_le() as usize;
-
-    let mut blocks: Vec<(String, Vec<f32>)> = Vec::with_capacity(n_blocks);
+    // Every block is at least a name length and a weight count.
+    let n_blocks = r.u32()? as usize;
+    let mut blocks: Vec<(String, Vec<f32>)> = Vec::with_capacity(r.count(n_blocks, 8)?);
     for _ in 0..n_blocks {
-        if buf.remaining() < 4 {
-            return Err(fail("truncated blob"));
-        }
-        let name_len = buf.get_u32_le() as usize;
-        if buf.remaining() < name_len + 4 {
-            return Err(fail("truncated name"));
-        }
-        let name =
-            String::from_utf8(buf[..name_len].to_vec()).map_err(|_| fail("name is not utf-8"))?;
-        buf.advance(name_len);
-        let len = buf.get_u32_le() as usize;
-        if buf.remaining() < len * 4 {
-            return Err(fail("truncated weights"));
-        }
-        let mut w = Vec::with_capacity(len);
+        let name_len = r.u32()? as usize;
+        let name = std::str::from_utf8(r.take(name_len)?)
+            .map_err(|_| fail("name is not utf-8"))?
+            .to_string();
+        let len = r.u32()? as usize;
+        let mut w = Vec::with_capacity(r.count(len, 4)?);
         for _ in 0..len {
-            w.push(buf.get_f32_le());
+            w.push(r.f32()?);
         }
         blocks.push((name, w));
     }
+    r.expect_end()?;
 
     // Apply, verifying structure.
     let mut i = 0;
@@ -145,6 +137,8 @@ mod tests {
     fn rejects_corrupt_blobs() {
         let mut net = make_net(1);
         assert!(load_weights(&mut net, b"nope").is_err());
+        // Claims 2^32 - 1 blocks in 12 bytes: refused, not allocated.
+        assert!(load_weights(&mut net, b"PFNN\x01\0\0\0\xff\xff\xff\xff").is_err());
         let blob = save_weights(&mut net);
         let mut truncated = blob.to_vec();
         truncated.truncate(blob.len() - 5);

@@ -29,12 +29,16 @@
 //! with mergeable [`Snapshot`]s, a [`JsonlWriter`] event log,
 //! a stderr [`ConsoleRecorder`] for progress lines, and a
 //! human-readable summary table ([`summary::render`]).
+//!
+//! The crate also holds the workspace's codecs — [`JsonValue`] and
+//! the bounded binary [`wire`] codec behind all six binary formats.
 
 pub mod env;
 pub mod histogram;
 pub mod jsonl;
 pub mod registry;
 pub mod summary;
+pub mod wire;
 
 pub use env::TelemetryEnv;
 pub use histogram::{Histogram, HistogramSnapshot};
