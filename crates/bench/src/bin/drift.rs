@@ -298,7 +298,7 @@ fn main() {
     // price), so this measures the whole honest cost.
     rec.event("bench.phase", &[("phase", Value::from("overhead"))]);
     let mut det = plain_detector();
-    let window = det.config().pipeline.segmentation.window();
+    let window = det.bundle().config().pipeline.segmentation.window();
     for _ in 0..2 * window {
         let _ = det.push_sample([0.01, -0.02, 1.0], [0.0, 0.1, 0.0]);
     }
@@ -306,17 +306,18 @@ fn main() {
     dh.set_reference(reference.clone());
     let mut tap_slot: Option<Box<dyn DetectorTap>> = Some(Box::new(tap));
     // Warm the traced path once (first armed window sizes its buffers).
-    det.set_tap(tap_slot.take().expect("tap"));
+    det.session_mut().set_tap(tap_slot.take().expect("tap"));
     for _ in 0..2 * window {
         let _ = det.push_sample([0.01, -0.02, 1.0], [0.0, 0.1, 0.0]);
     }
-    tap_slot = det.take_tap();
+    tap_slot = det.session_mut().take_tap();
     let mut unarmed: Vec<f64> = Vec::with_capacity(OVERHEAD_WINDOWS * 2);
     let mut armed: Vec<f64> = Vec::with_capacity(OVERHEAD_WINDOWS * 2);
     let mut arm_next = false;
     while unarmed.len() < OVERHEAD_WINDOWS || armed.len() < OVERHEAD_WINDOWS {
         if arm_next {
-            det.set_tap(tap_slot.take().expect("tap parked"));
+            det.session_mut()
+                .set_tap(tap_slot.take().expect("tap parked"));
         }
         let sink = if arm_next { &mut armed } else { &mut unarmed };
         let mut classified = 0usize;
@@ -330,7 +331,7 @@ fn main() {
             }
         }
         if arm_next {
-            tap_slot = det.take_tap();
+            tap_slot = det.session_mut().take_tap();
         }
         arm_next = !arm_next;
     }
@@ -405,14 +406,14 @@ fn main() {
     let mut det = plain_detector();
     let flight = FlightRecorder::install(&mut det, Vec::new(), FlightConfig::default());
     flight.set_recorder(registry.clone());
-    let flight_tap = det.take_tap().expect("flight tap installed");
+    let flight_tap = det.session_mut().take_tap().expect("flight tap installed");
     let (drift_tap, dh) = DriftMonitor::create(DriftConfig {
         publish_every: 1,
         ..DriftConfig::default()
     });
     dh.set_recorder(registry.clone());
     dh.set_reference(steady_ref.clone());
-    det.set_tap(Box::new(
+    det.session_mut().set_tap(Box::new(
         TapFanout::new(vec![flight_tap]).with(Box::new(drift_tap)),
     ));
 

@@ -21,7 +21,7 @@
 use prefall_bench::{paper_edge, telemetry_out};
 use prefall_core::cv::{subject_folds, train_on_sets_recorded, CvConfig};
 use prefall_core::detector::{
-    lead_time_bounds_ms, run_on_trial_monitored, DetectorConfig, StreamingDetector,
+    lead_time_bounds_ms, run_on_trial, DetectorConfig, StreamingDetector,
 };
 use prefall_core::metrics::{Confusion, TableMetrics};
 use prefall_core::models::ModelKind;
@@ -190,12 +190,15 @@ fn main() {
     phase("stream");
     let mut detector =
         StreamingDetector::new(qnet, norm, DetectorConfig::paper_400ms()).expect("detector");
-    detector.set_recorder(registry.clone());
+    detector.session_mut().set_recorder(registry.clone());
     let mut monitor = QualityMonitor::new();
     let (mut falls, mut triggered_falls, mut protected, mut lead_ok, mut false_act) =
         (0u64, 0u64, 0u64, 0u64, 0u64);
     for trial in dataset.trials() {
-        let outcome = run_on_trial_monitored(&mut detector, trial, rec.as_ref(), &mut monitor);
+        let outcome = run_on_trial(&mut detector, trial, rec.as_ref());
+        monitor.record_trial(trial, &outcome, rec.as_ref());
+        monitor.record_guard(detector.session().guard_status());
+        monitor.publish(rec.as_ref());
         if trial.is_fall() {
             falls += 1;
             if outcome.triggered_at.is_some() {

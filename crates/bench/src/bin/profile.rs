@@ -386,12 +386,14 @@ fn real_main() -> Result<(), String> {
     // With PREFALL_METRICS_ADDR set, serve the drained trace (and the
     // live registry) for the rest of the run.
     let _server = TelemetryEnv::from_env().metrics_addr.and_then(|addr| {
-        prefall_obsd::MetricsServer::start_full(
+        prefall_obsd::MetricsServer::start(
             addr.as_str(),
             Arc::clone(&registry),
             prefall_obsd::ServerConfig::default(),
-            None,
-            Some(Arc::clone(&last)),
+            prefall_obsd::Sources {
+                trace: Some(Arc::clone(&last)),
+                ..Default::default()
+            },
         )
         .map_err(|e| eprintln!("profile: cannot bind {addr}: {e}"))
         .ok()

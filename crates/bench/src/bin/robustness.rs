@@ -36,7 +36,7 @@ use prefall_core::models::ModelKind;
 use prefall_core::pipeline::{Pipeline, PipelineConfig};
 use prefall_faults::{run_on_faulted_trial, FaultPlan};
 use prefall_imu::dataset::{Dataset, DatasetConfig};
-use prefall_telemetry::{JsonValue, Recorder, Value};
+use prefall_telemetry::{JsonValue, NoopRecorder, Recorder, Value};
 
 /// Fault intensities swept, in order.
 const INTENSITIES: [f64; 5] = [0.0, 0.25, 0.5, 0.75, 1.0];
@@ -107,7 +107,7 @@ fn main() {
 
     let mut detector =
         StreamingDetector::new(net, norm, DetectorConfig::paper_400ms()).expect("detector");
-    detector.set_recorder(registry.clone());
+    detector.session_mut().set_recorder(registry.clone());
 
     // Gate 1: on clean signal the guard must change nothing. Run every
     // trial twice — guard off (the legacy byte-for-byte path), guard on
@@ -117,7 +117,7 @@ fn main() {
         dataset
             .trials()
             .iter()
-            .map(|t| run_on_trial(d, t).triggered_at)
+            .map(|t| run_on_trial(d, t, &NoopRecorder).triggered_at)
             .collect()
     };
     detector.set_guard(GuardConfig::disabled());
@@ -168,7 +168,7 @@ fn main() {
                 }
             }
         }
-        let status = detector.guard_status();
+        let status = detector.session().guard_status();
         nonfinite_total += status.engine_rejects;
         leads.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let lead_p50 = if leads.is_empty() {

@@ -33,9 +33,7 @@
 
 use prefall_bench::telemetry_out;
 use prefall_blackbox::{FlightConfig, FlightRecorder};
-use prefall_core::detector::{
-    run_on_trial_recorded, DetectorConfig, GuardConfig, StreamingDetector,
-};
+use prefall_core::detector::{run_on_trial, DetectorConfig, GuardConfig, StreamingDetector};
 use prefall_core::models::ModelKind;
 use prefall_core::pipeline::PipelineConfig;
 use prefall_dsp::segment::Overlap;
@@ -111,7 +109,7 @@ fn build_detector(threshold: f32, registry: &Arc<Registry>) -> StreamingDetector
         .build(window, 9, 1)
         .expect("model builds");
     let mut det = StreamingDetector::new(net, Normalizer::identity(9), cfg).expect("detector");
-    det.set_recorder(registry.clone());
+    det.session_mut().set_recorder(registry.clone());
     det
 }
 
@@ -191,7 +189,7 @@ fn main() {
                 rec.counter_add("detector.false_activations", 1);
             }
         } else {
-            let out = run_on_trial_recorded(&mut clean_detector, trial, rec.as_ref());
+            let out = run_on_trial(&mut clean_detector, trial, rec.as_ref());
             if out.false_activation {
                 fail(
                     "clean phase",
@@ -302,7 +300,7 @@ fn main() {
     // cadence (the production default is 1 s).
     rec.event("bench.phase", &[("phase", Value::from("overhead"))]);
     let mut det = build_detector(1.1, &registry);
-    let window = det.config().pipeline.segmentation.window();
+    let window = det.bundle().config().pipeline.segmentation.window();
     for _ in 0..2 * window {
         let _ = det.push_sample([0.01, -0.02, 1.0], [0.0, 0.1, 0.0]);
     }

@@ -13,9 +13,9 @@
 //! Incidents that fire mid-trial (trigger dumps) are created
 //! immediately with what is known at that instant, then patched with
 //! trial identity and lead time when
-//! [`StreamingDetector::notify_trial_end`] delivers the outcome.
+//! [`Session::notify_trial_end`] delivers the outcome.
 //!
-//! [`StreamingDetector::notify_trial_end`]: prefall_core::detector::StreamingDetector::notify_trial_end
+//! [`Session::notify_trial_end`]: prefall_core::session::Session::notify_trial_end
 
 use crate::dump::{
     IncidentDump, IncidentKind, SampleRecord, TrialMeta, WindowRecord, MAX_BRANCHES,
@@ -216,16 +216,15 @@ impl FlightRecorder {
     /// configuration), installs it as the detector's tap, and returns
     /// the shared [`FlightHandle`].
     ///
-    /// `model_blob` is the serialized
-    /// [`DetectorBundle`](prefall_core::persist::DetectorBundle) the
-    /// detector was built from; it is embedded verbatim in every dump
-    /// so replay reconstructs the exact same engine.
+    /// `model_blob` is the serialized [`DetectorBundle`] the detector
+    /// was built from; it is embedded verbatim in every dump so replay
+    /// reconstructs the exact same engine.
     pub fn install(
         detector: &mut StreamingDetector,
         model_blob: Vec<u8>,
         cfg: FlightConfig,
     ) -> FlightHandle {
-        let dc = detector.config();
+        let dc = detector.bundle().config();
         let state = Arc::new(Mutex::new(FlightState {
             cfg,
             threshold: dc.threshold,
@@ -243,7 +242,7 @@ impl FlightRecorder {
             pending: Vec::new(),
             rec: prefall_telemetry::noop(),
         }));
-        detector.set_tap(Box::new(FlightRecorder {
+        detector.session_mut().set_tap(Box::new(FlightRecorder {
             state: Arc::clone(&state),
         }));
         FlightHandle { state }
@@ -352,10 +351,9 @@ impl DetectorTap for FlightRecorder {
     }
 }
 
-/// Builds a [`StreamingDetector`] from serialized
-/// [`DetectorBundle`](prefall_core::persist::DetectorBundle) bytes and
-/// arms it with a flight recorder — the deployment entry point, and
-/// the construction [`crate::replay`] mirrors.
+/// Builds a [`StreamingDetector`] from serialized [`DetectorBundle`]
+/// bytes and arms it with a flight recorder — the deployment entry
+/// point, and the construction [`replay`](crate::replay()) mirrors.
 ///
 /// # Errors
 ///

@@ -99,8 +99,8 @@ pub fn replay(dump: &IncidentDump) -> Result<ReplayReport, BlackboxError> {
                     replayed: p,
                 });
             }
-            if detector.trigger_armed() != w.armed() || detector.trigger_decision() != w.decision()
-            {
+            let session = detector.session();
+            if session.trigger_armed() != w.armed() || session.trigger_decision() != w.decision() {
                 trigger_match = false;
             }
         }

@@ -2,14 +2,14 @@
 //!
 //! [`FlightHandle`] implements [`prefall_obsd::IncidentSource`], so
 //! passing a clone to
-//! [`MetricsServer::start_with_incidents`](prefall_obsd::server::MetricsServer)
-//! exposes:
+//! [`MetricsServer::start`](prefall_obsd::MetricsServer::start) as
+//! [`Sources::incidents`](prefall_obsd::Sources::incidents) exposes:
 //!
 //! * `GET /incidents` — summary listing of every held incident,
 //! * `GET /incidents/{id}` — full forensics document (decision trace,
 //!   guard counters, hashes) plus the complete binary dump as
 //!   `dump_hex`, ready for [`crate::dump::IncidentDump::from_hex`] and
-//!   [`crate::replay`] on an analyst's machine.
+//!   [`replay`](crate::replay()) on an analyst's machine.
 //!
 //! The server also feeds every `/healthz` verdict back through
 //! [`IncidentSource::on_health_status`]; a rising edge into degraded

@@ -16,9 +16,9 @@
 //!
 //! * rejects non-finite values and clamps out-of-range ones to the
 //!   configured physical limits, substituting the last good sample;
-//! * fills short gaps (via [`StreamingDetector::push_missing`]) by
-//!   holding the last good sample, and flushes the window after gaps
-//!   too long to bridge;
+//! * fills short gaps (via [`Session::push_missing`]) by holding the
+//!   last good sample, and flushes the window after gaps too long to
+//!   bridge;
 //! * runs a stuck/stale watchdog that flags a frozen axis or a
 //!   flat-lined sensor;
 //! * switches the detector into explicit degraded modes
@@ -39,31 +39,36 @@
 //! [`GuardConfig::accel_confirm_window`] samples. Inflating the airbag
 //! is irreversible and disruptive, so a probability computed from
 //! masked or interpolated data is never trusted on its own —
-//! [`StreamingDetector::trigger_decision`] encodes this policy and
-//! [`AirbagController::step_with_detector`] applies it.
+//! [`Session::trigger_decision`] encodes this policy and [`run_on_trial`]
+//! fires the airbag from it.
 //!
 //! # Fleet split
 //!
-//! [`StreamingDetector`] is the one-wearer face of a two-part core:
-//! an immutable [`ModelBundle`](crate::session::ModelBundle) (weights,
-//! normaliser, configuration) driving a poolable
-//! [`Session`](crate::session::Session) (guard, filters, window,
-//! scratch). A fleet server shares one bundle across thousands of
-//! sessions — see [`crate::session`].
+//! [`StreamingDetector`] is the one-wearer pairing of the two-part core:
+//! an immutable [`ModelBundle`] (weights, normaliser, configuration)
+//! and one poolable [`Session`] (guard, filters, window, scratch). It
+//! adds only the pushes, which need both halves; everything else is
+//! read or set on the halves themselves (`det.session().mode()`,
+//! `det.session_mut().set_tap(..)`). A fleet server shares one bundle
+//! across thousands of sessions — see [`crate::session`].
+//!
+//! # Trial runner
+//!
+//! [`run_on_trial`] streams a recorded trial through the detector and
+//! the airbag. Its per-tick trigger → airbag → [`TrialOutcome`] loop,
+//! [`stream_ticks`], is the only one: the faulted-trial runner feeds it
+//! a corrupted [`SampleEvent`] stream instead of the clean samples.
 
-use crate::pipeline::{Pipeline, PipelineConfig};
-use crate::session::{ModelBundle, Session, SessionCheckpoint, TickOutcome};
-use crate::tap::DetectorTap;
+use crate::pipeline::PipelineConfig;
+use crate::session::{ModelBundle, Session, TickOutcome};
 use crate::CoreError;
 use prefall_dsp::stats::Normalizer;
-use prefall_imu::channel::Channel;
 use prefall_imu::trial::Trial;
 use prefall_imu::{AIRBAG_INFLATION_SAMPLES, SAMPLE_PERIOD_MS};
 use prefall_nn::network::{BranchStat, Network};
 use prefall_nn::quant::QuantizedNetwork;
 use prefall_nn::workspace::Workspace;
-use prefall_telemetry::{NoopRecorder, Recorder, Value};
-use std::sync::Arc;
+use prefall_telemetry::{Recorder, Value};
 
 /// Upper bounds (ms) for the `detector.lead_time_ms` histogram: 25 ms
 /// bins from 0 to 1 s, bracketing the 150 ms airbag-inflation budget.
@@ -125,8 +130,8 @@ pub struct GuardConfig {
     /// Default 5.
     pub fault_debounce: u32,
     /// How recently (in samples) the accel magnitude must have left the
-    /// rest band for [`StreamingDetector::accel_confirms`] to hold.
-    /// Default 40 (400 ms, one paper window).
+    /// rest band for [`Session::accel_confirms`] to hold. Default 40
+    /// (400 ms, one paper window).
     pub accel_confirm_window: usize,
     /// Half-width of the accel rest band around 1 g. Default 0.35 g.
     pub accel_confirm_dev_g: f32,
@@ -179,9 +184,8 @@ impl DetectorMode {
 
 /// Cumulative [`SampleGuard`] intervention counters.
 ///
-/// Counters survive [`StreamingDetector::reset`] (they describe the
-/// deployment, not one trial); [`StreamingDetector::set_guard`] starts
-/// them over.
+/// Counters survive [`Session::reset`] (they describe the deployment,
+/// not one trial); [`Session::set_guard`] starts them over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GuardStatus {
     /// Grid ticks seen (delivered + missing).
@@ -214,8 +218,6 @@ pub struct GuardStatus {
     /// the stale tick is the correct (idempotent) response — so this
     /// deliberately does not feed [`GuardStatus::faults`] or the
     /// `/healthz` fault-rate budget.
-    ///
-    /// [`Session::push_at`]: crate::session::Session::push_at
     pub ts_regression: u64,
 }
 
@@ -242,10 +244,9 @@ const REST_SAMPLE: ([f32; 3], [f32; 3]) = ([0.0, 0.0, 1.0], [0.0, 0.0, 0.0]);
 /// The ingest-hardening stage: validates, clamps and gap-fills raw
 /// samples, runs the stuck watchdog, and tracks the degraded modes.
 ///
-/// Owned by [`StreamingDetector`]; its streaming state resets with the
-/// detector while its [`GuardStatus`] counters accumulate across
-/// trials. Uses only fixed-size state — no allocation on the sample
-/// path.
+/// Owned by a [`Session`]; its streaming state resets with the session
+/// while its [`GuardStatus`] counters accumulate across trials. Uses
+/// only fixed-size state — no allocation on the sample path.
 #[derive(Debug, Clone)]
 pub struct SampleGuard {
     pub(crate) cfg: GuardConfig,
@@ -260,9 +261,9 @@ pub struct SampleGuard {
     pub(crate) mode: DetectorMode,
     pub(crate) status: GuardStatus,
     /// The next expected 100 Hz grid tick for explicitly-sequenced
-    /// ingest ([`crate::session::Session::push_at`]); the implicit
-    /// push paths keep it in step so a stream can switch to sequenced
-    /// delivery at any point.
+    /// ingest ([`Session::push_at`]); the implicit push paths keep it
+    /// in step so a stream can switch to sequenced delivery at any
+    /// point.
     pub(crate) next_tick: u64,
 }
 
@@ -548,14 +549,14 @@ impl From<QuantizedNetwork> for Engine {
     }
 }
 
-/// A streaming pre-impact fall detector wrapping a trained network.
+/// A streaming pre-impact fall detector: one [`ModelBundle`] and the one
+/// [`Session`] streaming against it.
 ///
-/// Internally this is a [`ModelBundle`] (the immutable model half)
-/// and a single [`Session`] (the per-stream half): every push forwards
-/// to the session with the bundle borrowed shared, through the same
-/// `&self` engine call a fleet uses — the one-wearer special case of
-/// the split in [`crate::session`]. [`StreamingDetector::into_parts`]
-/// releases the halves for fleet use.
+/// The pushes are the only methods that need both halves — the session
+/// classifies through the bundle's shared `&self` engine, exactly as a
+/// fleet session does (see [`crate::session`]). Everything else lives on
+/// the halves: read state with [`StreamingDetector::session`], install
+/// a recorder or tap with [`StreamingDetector::session_mut`].
 #[derive(Debug)]
 pub struct StreamingDetector {
     bundle: ModelBundle,
@@ -582,132 +583,40 @@ impl StreamingDetector {
         Ok(Self { bundle, session })
     }
 
-    /// Reassembles a detector from a bundle and one of its sessions
-    /// (the inverse of [`StreamingDetector::into_parts`]).
-    pub fn from_parts(bundle: ModelBundle, session: Session) -> Self {
-        Self { bundle, session }
-    }
-
-    /// Releases the model/session halves for fleet use: share the
-    /// [`ModelBundle`](crate::session::ModelBundle) behind an `Arc`
-    /// and pool [`Session`](crate::session::Session)s against it.
-    pub fn into_parts(self) -> (ModelBundle, Session) {
-        (self.bundle, self.session)
-    }
-
-    /// The shared model half.
+    /// The shared model half: engine, normaliser and configuration.
     pub fn bundle(&self) -> &ModelBundle {
         &self.bundle
     }
 
-    /// The per-stream session half.
+    /// The per-stream session half: guard state, trigger state,
+    /// checkpoints.
     pub fn session(&self) -> &Session {
         &self.session
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &DetectorConfig {
-        self.bundle.config()
+    /// The per-stream session half, mutably: reset, recorder, tap,
+    /// restore.
+    pub fn session_mut(&mut self) -> &mut Session {
+        &mut self.session
     }
 
-    /// Installs a telemetry recorder. Every [`StreamingDetector::push_sample`]
-    /// lands in the `detector.push_sample_seconds` histogram, each
-    /// classified window in `detector.infer_seconds` plus the
-    /// `detector.windows` counter. The default is the shared no-op
-    /// recorder, which never reads the clock.
-    pub fn set_recorder(&mut self, rec: Arc<dyn Recorder>) {
-        self.session.set_recorder(rec);
-    }
-
-    /// Installs a [`DetectorTap`]: a per-sample observer that sees
-    /// every ingest event (raw values, guard state, classified windows
-    /// with per-branch attribution). While a tap is installed,
-    /// inference runs through the traced engine path — bit-identical
-    /// scores, plus branch statistics. Replaces any previous tap.
-    pub fn set_tap(&mut self, tap: Box<dyn DetectorTap>) {
-        self.session.set_tap(tap);
-    }
-
-    /// Removes and returns the installed tap, if any.
-    pub fn take_tap(&mut self) -> Option<Box<dyn DetectorTap>> {
-        self.session.take_tap()
-    }
-
-    /// Whether a [`DetectorTap`] is currently installed.
-    pub fn has_tap(&self) -> bool {
-        self.session.has_tap()
-    }
-
-    /// Resets all streaming state (filters, fusion, window, guard
-    /// stream state). Cumulative [`GuardStatus`] counters survive —
-    /// they describe the deployment, not one trial.
-    pub fn reset(&mut self) {
-        self.session.reset();
-    }
-
-    /// Replaces the guard configuration, resetting all guard state
-    /// *including* the cumulative [`GuardStatus`] counters. Lets one
-    /// detector be compared with the guard on and off without
-    /// rebuilding the engine or re-running training.
+    /// Replaces the guard configuration on both halves, resetting all
+    /// guard state *including* the cumulative [`GuardStatus`] counters.
+    /// Lets one detector be compared with the guard on and off without
+    /// rebuilding the engine or re-running training. The bundle's copy
+    /// is what incident dumps record as the detector's configuration.
     pub fn set_guard(&mut self, cfg: GuardConfig) {
         self.bundle.config.guard = cfg;
         self.session.set_guard(cfg);
     }
 
-    /// The currently active degraded modes.
-    pub fn mode(&self) -> DetectorMode {
-        self.session.mode()
-    }
-
-    /// Cumulative guard intervention counters.
-    pub fn guard_status(&self) -> GuardStatus {
-        self.session.guard_status()
-    }
-
-    /// Whether the accelerometer branch currently confirms a fall-like
-    /// event: accel magnitude left the 1 g rest band within the last
-    /// [`GuardConfig::accel_confirm_window`] samples.
-    pub fn accel_confirms(&self) -> bool {
-        self.session.accel_confirms()
-    }
-
-    /// Captures the complete per-stream state (see
-    /// [`Session::checkpoint`](crate::session::Session::checkpoint)).
-    pub fn checkpoint(&self) -> SessionCheckpoint {
-        self.session.checkpoint()
-    }
-
-    /// Restores state captured by [`StreamingDetector::checkpoint`]
-    /// (see [`Session::restore`](crate::session::Session::restore)).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConfig`] when the checkpoint's
-    /// shape does not fit this detector's configuration.
-    pub fn restore(&mut self, ck: &SessionCheckpoint) -> Result<(), CoreError> {
-        self.session.restore(ck)
-    }
-
-    /// Feeds one raw 100 Hz sample (accelerometer in g, gyroscope in
-    /// rad/s). Returns the window probability when a full hop completed,
-    /// `None` otherwise.
-    ///
-    /// With [`GuardConfig::enabled`] (the default) the sample passes
-    /// through the [`SampleGuard`] first and the returned probability
-    /// is always finite and computed from validated data. With the
-    /// guard disabled this is the naive ingest: a single NaN axis
-    /// reading permanently poisons the Butterworth and fusion state,
-    /// after which every window is NaN and the network's `max`-based
-    /// layers launder it into a constant garbage score — the detector
-    /// goes silently blind.
+    /// Feeds one raw 100 Hz sample; see [`Session::push_sample`].
     pub fn push_sample(&mut self, accel: [f32; 3], gyro: [f32; 3]) -> Option<f32> {
         self.session.push_sample(&self.bundle, accel, gyro)
     }
 
-    /// Ingests a sample at an explicit 100 Hz grid tick, tolerating
-    /// duplicate, reordered and gap delivery (see
-    /// [`Session::push_at`](crate::session::Session::push_at)). Window
-    /// probabilities are appended to `out` in emission order.
+    /// Ingests a sample at an explicit 100 Hz grid tick; see
+    /// [`Session::push_at`].
     pub fn push_at(
         &mut self,
         tick: u64,
@@ -718,49 +627,25 @@ impl StreamingDetector {
         self.session.push_at(&self.bundle, tick, accel, gyro, out)
     }
 
-    /// Reports a missing grid tick (the sensor bus delivered nothing at
-    /// this 100 Hz slot). Returns a probability if bridging the gap
-    /// completed a hop.
-    ///
-    /// Gaps up to [`GuardConfig::max_gap_fill`] ticks are bridged by
-    /// re-ingesting the last good sample (counted as `gaps_filled`);
-    /// longer gaps mark the detector stale, flush the window when real
-    /// data resumes, and are counted as `gap_lost`.
-    ///
-    /// With the guard disabled this is a no-op returning `None`: the
-    /// naive detector simply never learns a tick passed, so its window
-    /// silently loses grid alignment — the failure mode the guard
-    /// exists to prevent.
+    /// Reports a missing grid tick; see [`Session::push_missing`].
     pub fn push_missing(&mut self) -> Option<f32> {
         self.session.push_missing(&self.bundle)
     }
+}
 
-    /// Whether the trigger condition (N consecutive positive windows) is
-    /// currently met. This is the raw arming state; it deliberately
-    /// ignores degraded modes — see
-    /// [`StreamingDetector::trigger_decision`] for the policy-aware
-    /// check.
-    pub fn trigger_armed(&self) -> bool {
-        self.session.trigger_armed()
-    }
-
-    /// The policy-aware trigger: armed *and* permitted by the
-    /// degraded-trigger policy (module docs). While degraded, a trigger
-    /// requires a healthy, non-stale accelerometer whose magnitude
-    /// recently confirmed a dynamic event; a probability computed from
-    /// masked or gap-filled data never fires the airbag on its own.
-    pub fn trigger_decision(&self) -> bool {
-        self.session.trigger_decision()
-    }
-
-    /// Notifies an installed [`DetectorTap`] that a trial finished
-    /// streaming. [`run_on_trial`] and the faulted-trial runner call
-    /// this automatically; call it yourself when driving the detector
-    /// sample-by-sample and the tap needs trial boundaries (e.g. the
-    /// flight recorder classifying a missed fall).
-    pub fn notify_trial_end(&mut self, trial: &Trial, outcome: &TrialOutcome) {
-        self.session.notify_trial_end(trial, outcome);
-    }
+/// What the (possibly faulty) sensor bus delivered at one 100 Hz grid
+/// tick — the input of [`stream_ticks`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum SampleEvent {
+    /// A sample arrived (its values may still be corrupted).
+    Sample {
+        /// Accelerometer reading in g.
+        accel: [f32; 3],
+        /// Gyroscope reading in rad/s.
+        gyro: [f32; 3],
+    },
+    /// The grid tick passed with no sample (dropout).
+    Dropped,
 }
 
 /// Airbag state.
@@ -807,27 +692,15 @@ impl AirbagController {
         self.state
     }
 
-    /// Advances time to sample `now`, firing from the detector's
-    /// policy-aware [`StreamingDetector::trigger_decision`].
-    ///
-    /// This is the deployment-correct coupling: under a degraded
-    /// detector the airbag never fires from a degraded-mode probability
-    /// unless the accelerometer branch confirms (see the
-    /// degraded-trigger policy in the module docs). Calling
-    /// [`AirbagController::step`] with a raw
-    /// [`StreamingDetector::trigger_armed`] bypasses that policy and is
-    /// only appropriate when the ingest is known clean.
-    pub fn step_with_detector(&mut self, now: usize, detector: &StreamingDetector) -> AirbagState {
-        self.step(now, detector.trigger_decision())
-    }
-
     /// Advances time to sample `now`, firing if `trigger` is set.
     /// Returns the new state.
     ///
-    /// `trigger` is trusted blindly — pair it with
-    /// [`StreamingDetector::trigger_decision`] (or use
-    /// [`AirbagController::step_with_detector`]) so degraded-mode
-    /// probabilities cannot fire the irreversible gas generator.
+    /// `trigger` is trusted blindly — pass the policy-aware
+    /// [`Session::trigger_decision`] so degraded-mode probabilities
+    /// cannot fire the irreversible gas generator (see the
+    /// degraded-trigger policy in the module docs). A raw
+    /// [`Session::trigger_armed`] bypasses that policy and is only
+    /// appropriate when the ingest is known clean.
     pub fn step(&mut self, now: usize, trigger: bool) -> AirbagState {
         self.state = match self.state {
             AirbagState::Idle if trigger => AirbagState::Inflating { triggered_at: now },
@@ -876,25 +749,27 @@ pub struct TrialOutcome {
     pub peak_prob: Option<f32>,
 }
 
-/// Streams a trial sample-by-sample through the detector and airbag.
-pub fn run_on_trial(detector: &mut StreamingDetector, trial: &Trial) -> TrialOutcome {
-    run_on_trial_recorded(detector, trial, &NoopRecorder)
-}
-
-/// [`run_on_trial`] with outcome telemetry: the lead time before impact
-/// lands in the `detector.lead_time_ms` histogram (register
-/// [`lead_time_bounds_ms`] for 25 ms bins), plus the `detector.trials`
-/// / `detector.triggered` / `detector.protected` /
-/// `detector.false_activations` counters and a `detector.trigger`
-/// event per firing. Per-sample latency telemetry is separate — it goes
-/// through the recorder installed with
-/// [`StreamingDetector::set_recorder`].
-pub fn run_on_trial_recorded(
+/// Streams a recorded trial sample-by-sample through the detector and
+/// the airbag ([`stream_ticks`] over the trial's clean samples), with
+/// outcome telemetry: the lead time before impact lands in the
+/// `detector.lead_time_ms` histogram (register [`lead_time_bounds_ms`]
+/// for 25 ms bins), plus the `detector.trials` / `detector.triggered` /
+/// `detector.protected` / `detector.false_activations` counters and a
+/// `detector.trigger` event per firing. Pass
+/// [`NoopRecorder`](prefall_telemetry::NoopRecorder) for none.
+/// Per-sample latency telemetry is separate — it goes through the
+/// recorder installed with [`Session::set_recorder`].
+pub fn run_on_trial(
     detector: &mut StreamingDetector,
     trial: &Trial,
     rec: &dyn Recorder,
 ) -> TrialOutcome {
-    let outcome = stream_trial(detector, trial);
+    let ch = trial.channels();
+    let samples = (0..trial.len()).map(|i| SampleEvent::Sample {
+        accel: [ch[0][i], ch[1][i], ch[2][i]],
+        gyro: [ch[3][i], ch[4][i], ch[5][i]],
+    });
+    let (outcome, _) = stream_ticks(detector, trial, samples);
     if rec.enabled() {
         rec.counter_add("detector.trials", 1);
         if outcome.triggered_at.is_some() {
@@ -926,24 +801,40 @@ pub fn run_on_trial_recorded(
     outcome
 }
 
-fn stream_trial(detector: &mut StreamingDetector, trial: &Trial) -> TrialOutcome {
-    detector.reset();
+/// The per-tick trigger → airbag → [`TrialOutcome`] loop: resets the
+/// detector, feeds it one [`SampleEvent`] per grid tick (a dropped
+/// tick goes to [`StreamingDetector::push_missing`]), fires the airbag
+/// once from the policy-aware [`Session::trigger_decision`], and
+/// notifies an installed tap that the trial ended.
+///
+/// `ticks` is read as the trial's grid, tick `i` at sample index `i`.
+/// Returns the outcome and the number of non-finite window
+/// probabilities, which never count toward
+/// [`TrialOutcome::peak_prob`] (with the guard on there are none).
+pub fn stream_ticks(
+    detector: &mut StreamingDetector,
+    trial: &Trial,
+    ticks: impl IntoIterator<Item = SampleEvent>,
+) -> (TrialOutcome, u64) {
+    detector.session.reset();
     let mut airbag = AirbagController::new();
     let mut triggered_at = None;
     let mut peak_prob: Option<f32> = None;
+    let mut nonfinite_probs: u64 = 0;
 
-    let ax = trial.channel(Channel::AccelX);
-    let ay = trial.channel(Channel::AccelY);
-    let az = trial.channel(Channel::AccelZ);
-    let gx = trial.channel(Channel::GyroX);
-    let gy = trial.channel(Channel::GyroY);
-    let gz = trial.channel(Channel::GyroZ);
-
-    for i in 0..trial.len() {
-        if let Some(p) = detector.push_sample([ax[i], ay[i], az[i]], [gx[i], gy[i], gz[i]]) {
-            peak_prob = Some(peak_prob.map_or(p, |q| q.max(p)));
+    for (i, ev) in ticks.into_iter().enumerate() {
+        let prob = match ev {
+            SampleEvent::Sample { accel, gyro } => detector.push_sample(accel, gyro),
+            SampleEvent::Dropped => detector.push_missing(),
+        };
+        if let Some(p) = prob {
+            if p.is_finite() {
+                peak_prob = Some(peak_prob.map_or(p, |q| q.max(p)));
+            } else {
+                nonfinite_probs += 1;
+            }
         }
-        let fire = detector.trigger_decision() && triggered_at.is_none();
+        let fire = detector.session.trigger_decision() && triggered_at.is_none();
         if fire {
             triggered_at = Some(i);
         }
@@ -964,47 +855,8 @@ fn stream_trial(detector: &mut StreamingDetector, trial: &Trial) -> TrialOutcome
         false_activation: !trial.is_fall() && triggered_at.is_some(),
         peak_prob,
     };
-    detector.notify_trial_end(trial, &outcome);
-    outcome
-}
-
-/// [`run_on_trial_recorded`] plus the online model-quality audit: the
-/// trial lands in the [`QualityMonitor`]'s per-activity confusion
-/// counters, calibration bins and lead-time tracking, and the derived
-/// gauges are re-published so a live `/metrics` scrape stays fresh.
-///
-/// [`QualityMonitor`]: crate::monitor::QualityMonitor
-pub fn run_on_trial_monitored(
-    detector: &mut StreamingDetector,
-    trial: &Trial,
-    rec: &dyn Recorder,
-    monitor: &mut crate::monitor::QualityMonitor,
-) -> TrialOutcome {
-    let outcome = run_on_trial_recorded(detector, trial, rec);
-    monitor.record_trial(trial, &outcome, rec);
-    monitor.record_guard(detector.guard_status());
-    monitor.publish(rec);
-    outcome
-}
-
-/// Convenience: builds a streaming detector from a pipeline + training
-/// artifacts produced by [`crate::cv::train_on_sets`].
-pub fn detector_from_parts(
-    pipeline: &Pipeline,
-    net: Network,
-    normalizer: Normalizer,
-    threshold: f32,
-) -> Result<StreamingDetector, CoreError> {
-    StreamingDetector::new(
-        net,
-        normalizer,
-        DetectorConfig {
-            pipeline: *pipeline.config(),
-            threshold,
-            consecutive: 1,
-            guard: GuardConfig::default(),
-        },
-    )
+    detector.session.notify_trial_end(trial, &outcome);
+    (outcome, nonfinite_probs)
 }
 
 #[cfg(test)]
@@ -1052,7 +904,7 @@ mod tests {
         for _ in 0..25 {
             let _ = d.push_sample([0.0, 0.0, 1.0], [0.0, 0.0, 0.0]);
         }
-        d.reset();
+        d.session_mut().reset();
         let mut first = None;
         for i in 0..30 {
             if d.push_sample([0.0, 0.0, 1.0], [0.0, 0.0, 0.0]).is_some() {
@@ -1120,7 +972,7 @@ mod tests {
         let mut armed_at = None;
         for i in 0..60 {
             let _ = d.push_sample([0.0, 0.0, 1.0], [0.0, 0.0, 0.0]);
-            if d.trigger_armed() && armed_at.is_none() {
+            if d.session().trigger_armed() && armed_at.is_none() {
                 armed_at = Some(i);
             }
         }
@@ -1210,7 +1062,7 @@ mod tests {
                 assert!(p.is_finite(), "non-finite prob at sample {i}");
             }
         }
-        let s = d.guard_status();
+        let s = d.session().guard_status();
         assert!(
             s.nonfinite >= 8 * 6,
             "counted {} nonfinite axes",
@@ -1276,7 +1128,7 @@ mod tests {
             }
             let _ = d.push_sample(a, g);
         }
-        assert_eq!(d.guard_status().clamped, 1);
+        assert_eq!(d.session().guard_status().clamped, 1);
     }
 
     #[test]
@@ -1295,7 +1147,7 @@ mod tests {
             }
         }
         assert_eq!(emissions, vec![19, 29, 39, 49, 59], "cadence preserved");
-        let s = d.guard_status();
+        let s = d.session().guard_status();
         assert_eq!(s.gaps_filled, 5);
         assert_eq!(s.gap_lost, 0);
         assert_eq!(s.window_flushes, 0);
@@ -1310,17 +1162,20 @@ mod tests {
         }
         for _ in 0..15 {
             // 15 > max_gap_fill (10): bridging gives up part-way.
-            assert!(d.push_missing().is_none() || d.guard_status().gap_lost == 0);
+            assert!(d.push_missing().is_none() || d.session().guard_status().gap_lost == 0);
         }
-        assert!(d.mode().stale, "detector stale after unbridgeable gap");
-        let s = d.guard_status();
+        assert!(
+            d.session().mode().stale,
+            "detector stale after unbridgeable gap"
+        );
+        let s = d.session().guard_status();
         assert_eq!(s.gaps_filled, 10);
         assert_eq!(s.gap_lost, 5);
         // Real data resumes: the mixed window flushes, mode recovers.
         let (a, g) = wiggle(45);
         let _ = d.push_sample(a, g);
-        assert!(!d.mode().stale);
-        assert_eq!(d.guard_status().window_flushes, 1);
+        assert!(!d.session().mode().stale);
+        assert_eq!(d.session().guard_status().window_flushes, 1);
     }
 
     #[test]
@@ -1333,13 +1188,16 @@ mod tests {
             }
             let _ = d.push_sample(a, g);
             if i == 119 {
-                assert!(d.mode().gyro_degraded, "frozen gyro not flagged");
-                assert!(!d.mode().accel_degraded);
+                assert!(d.session().mode().gyro_degraded, "frozen gyro not flagged");
+                assert!(!d.session().mode().accel_degraded);
             }
         }
-        assert!(!d.mode().gyro_degraded, "mode should clear on recovery");
-        assert!(d.guard_status().stuck_events >= 1);
-        assert!(d.guard_status().degraded_windows >= 1);
+        assert!(
+            !d.session().mode().gyro_degraded,
+            "mode should clear on recovery"
+        );
+        assert!(d.session().guard_status().stuck_events >= 1);
+        assert!(d.session().guard_status().degraded_windows >= 1);
     }
 
     #[test]
@@ -1360,13 +1218,16 @@ mod tests {
             let (a, _) = wiggle(i);
             let _ = d.push_sample(a, [0.5; 3]);
         }
-        assert!(d.mode().gyro_degraded);
-        assert!(d.trigger_armed());
-        assert!(!d.accel_confirms(), "wearer at rest");
-        assert!(!d.trigger_decision(), "degraded + unconfirmed must veto");
-        assert!(d.guard_status().suppressed_triggers > 0);
+        assert!(d.session().mode().gyro_degraded);
+        assert!(d.session().trigger_armed());
+        assert!(!d.session().accel_confirms(), "wearer at rest");
+        assert!(
+            !d.session().trigger_decision(),
+            "degraded + unconfirmed must veto"
+        );
+        assert!(d.session().guard_status().suppressed_triggers > 0);
         let mut bag = AirbagController::new();
-        bag.step_with_detector(120, &d);
+        bag.step(120, d.session().trigger_decision());
         assert_eq!(bag.state(), AirbagState::Idle);
 
         // A real dynamic event on the accel branch lifts the veto.
@@ -1374,10 +1235,13 @@ mod tests {
             let t = i as f32 * 0.3;
             let _ = d.push_sample([2.5 * t.sin(), 1.5 * t.cos(), 3.0], [0.5; 3]);
         }
-        assert!(d.mode().gyro_degraded, "gyro still dead");
-        assert!(d.accel_confirms());
-        assert!(d.trigger_decision(), "accel-confirmed trigger allowed");
-        bag.step_with_detector(140, &d);
+        assert!(d.session().mode().gyro_degraded, "gyro still dead");
+        assert!(d.session().accel_confirms());
+        assert!(
+            d.session().trigger_decision(),
+            "accel-confirmed trigger allowed"
+        );
+        bag.step(140, d.session().trigger_decision());
         assert!(matches!(bag.state(), AirbagState::Inflating { .. }));
     }
 
@@ -1387,14 +1251,25 @@ mod tests {
         for _ in 0..40 {
             let _ = d.push_sample([f32::NAN; 3], [0.0, 0.1, 0.2]);
         }
-        assert!(d.mode().accel_degraded);
-        let faults = d.guard_status().faults();
+        assert!(d.session().mode().accel_degraded);
+        let faults = d.session().guard_status().faults();
         assert!(faults > 0);
-        d.reset();
-        assert!(!d.mode().is_degraded(), "mode clears with the stream");
-        assert_eq!(d.guard_status().faults(), faults, "counters survive");
+        d.session_mut().reset();
+        assert!(
+            !d.session().mode().is_degraded(),
+            "mode clears with the stream"
+        );
+        assert_eq!(
+            d.session().guard_status().faults(),
+            faults,
+            "counters survive"
+        );
         d.set_guard(GuardConfig::default());
-        assert_eq!(d.guard_status().faults(), 0, "set_guard starts over");
+        assert_eq!(
+            d.session().guard_status().faults(),
+            0,
+            "set_guard starts over"
+        );
     }
 
     #[test]

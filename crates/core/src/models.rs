@@ -110,6 +110,43 @@ impl ModelKind {
         };
         Ok(net)
     }
+
+    /// The parameter count of `build(window, channels, _)`, computed
+    /// arithmetically without allocating — what a decoder checks an
+    /// untrusted header against before it builds the network.
+    /// Saturates at `usize::MAX`; meaningless for shapes `build`
+    /// refuses.
+    pub fn param_count(self, window: usize, channels: usize) -> usize {
+        // Dense(inputs → outputs): weights plus biases.
+        let dense =
+            |inputs: usize, outputs: usize| inputs.saturating_add(1).saturating_mul(outputs);
+        // The shared head: Dense(64) → Dense(32) → Dense(1).
+        let head = |inputs: usize| dense(inputs, 64).saturating_add(dense(64, 32) + dense(32, 1));
+        // Conv1D(18, k=5) + MaxPool(2): parameters, flattened output.
+        let conv = |ch: usize| {
+            let flat = (window.saturating_sub(4) / 2).saturating_mul(18);
+            (dense(ch.saturating_mul(5), 18), flat)
+        };
+        match self {
+            ModelKind::Mlp => head(window.saturating_mul(channels)),
+            // LSTM(32): four gates over [input, hidden] plus biases.
+            ModelKind::Lstm => dense(channels.saturating_add(32), 4 * 32)
+                .saturating_add(dense(32, 32) + dense(32, 1)),
+            // ConvLSTM(8 filters, k=3): four gates over the input and
+            // hidden kernels plus biases, flattened over the channels.
+            ModelKind::ConvLstm2d => (4 * 8 * 3 * (1 + 8) + 4 * 8_usize)
+                .saturating_add(dense(channels.saturating_mul(8), 32))
+                .saturating_add(dense(32, 1)),
+            ModelKind::ProposedCnn => {
+                let (branch, flat) = conv(3);
+                (3 * branch).saturating_add(head(flat.saturating_mul(3)))
+            }
+            ModelKind::MonolithicCnn => {
+                let (params, flat) = conv(channels);
+                params.saturating_add(head(flat))
+            }
+        }
+    }
 }
 
 impl std::fmt::Display for ModelKind {
@@ -191,6 +228,26 @@ mod tests {
         // Different structure from the proposed CNN.
         let proposed = ModelKind::ProposedCnn.build(40, 9, 1).unwrap();
         assert_ne!(net.param_count(), proposed.param_count());
+    }
+
+    #[test]
+    fn param_count_matches_the_built_network() {
+        let kinds = ModelKind::ALL.into_iter().chain([ModelKind::MonolithicCnn]);
+        for kind in kinds {
+            for window in [10, 20, 31, 40] {
+                for channels in [6, 9] {
+                    let Ok(net) = kind.build(window, channels, 1) else {
+                        continue;
+                    };
+                    assert_eq!(
+                        kind.param_count(window, channels),
+                        net.param_count(),
+                        "{kind} w={window} c={channels}"
+                    );
+                }
+            }
+            assert_eq!(kind.param_count(usize::MAX, usize::MAX), usize::MAX);
+        }
     }
 
     #[test]

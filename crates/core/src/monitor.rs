@@ -108,7 +108,7 @@ impl QualityMonitor {
     /// Tracks the detector's cumulative [`GuardStatus`] so the ingest
     /// fault rate and degraded-window rate publish next to the model
     /// quality. Pass the latest
-    /// [`StreamingDetector::guard_status`](crate::detector::StreamingDetector::guard_status)
+    /// [`Session::guard_status`](crate::session::Session::guard_status)
     /// snapshot — counters there are cumulative, so the newest snapshot
     /// simply replaces the stored one.
     pub fn record_guard(&mut self, status: GuardStatus) {

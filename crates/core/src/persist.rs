@@ -129,8 +129,11 @@ impl DetectorBundle {
     ///
     /// Returns [`CoreError::InvalidConfig`] for malformed blobs —
     /// including a header `window`/`channels` that disagrees with the
-    /// stored segmentation or normaliser, or a window longer than
-    /// [`MAX_WINDOW_ROWS`] — and propagates model/weight errors.
+    /// stored segmentation or normaliser, a window longer than
+    /// [`MAX_WINDOW_ROWS`], or a network with more parameters than the
+    /// weight blob carries (checked before the network is allocated, so
+    /// a decode never allocates much more than the blob's own size) —
+    /// and propagates model/weight errors.
     pub fn from_bytes(blob: &[u8]) -> Result<Self, CoreError> {
         let bad = |reason: &str| CoreError::InvalidConfig {
             reason: format!("detector bundle: {reason}"),
@@ -178,6 +181,11 @@ impl DetectorBundle {
         let weights_len = r.u32()? as usize;
         let weights = r.take(weights_len)?;
         r.expect_end()?;
+        // Every parameter is one f32 in the weight blob: a header whose
+        // network outgrows the blob is refused before it is allocated.
+        if model.param_count(window, channels) > weights_len / 4 {
+            return Err(bad("network larger than its weight blob"));
+        }
         let mut network = model.build(window, channels, init_seed)?;
         load_weights(&mut network, weights)?;
 

@@ -1,11 +1,13 @@
 //! The detector split for fleet serving: a shared immutable
 //! [`ModelBundle`] and a compact, poolable [`Session`].
 //!
-//! A [`StreamingDetector`](crate::detector::StreamingDetector) owns one
-//! of each and serves exactly one wearer. A fleet server instead builds
-//! one `ModelBundle` (engine weights, normaliser, configuration, filter
-//! prototype — everything immutable and identical across wearers),
-//! wraps it in an `Arc`, and pools thousands of `Session`s against it:
+//! A [`StreamingDetector`](crate::detector::StreamingDetector) pairs one
+//! of each and serves exactly one wearer; it adds only the pushes, and
+//! everything else — state, checkpoints, recorder, tap — is read and set
+//! on its [`Session`]. A fleet server instead builds one `ModelBundle`
+//! (engine weights, normaliser, configuration, filter prototype —
+//! everything immutable and identical across wearers), wraps it in an
+//! `Arc`, and pools thousands of `Session`s against it:
 //! each session is only the per-stream state (ingest guard, IIR filter
 //! delay lines, fusion attitude, sliding window, nn scratch
 //! [`Workspace`], optional tap). Sessions are `Send`, reset cleanly for
@@ -30,8 +32,8 @@
 //! (`guard.ts_regression`) — duplicate and reordered batches become
 //! idempotent re-deliveries instead of silently corrupting the
 //! gap-bridging math. Ticks ahead of the grid bridge the gap through
-//! the existing [`SampleGuard`](crate::detector::SampleGuard) exactly
-//! as [`Session::push_missing`] would, with gaps beyond
+//! the existing [`SampleGuard`] exactly as [`Session::push_missing`]
+//! would, with gaps beyond
 //! [`GuardConfig::max_gap_fill`](crate::detector::GuardConfig::max_gap_fill)
 //! collapsed into one accounting step (same counters, no per-tick tap
 //! callbacks) so a reconnect after minutes costs O(1), not O(gap).
@@ -206,13 +208,20 @@ pub struct Session {
 }
 
 impl Session {
-    /// Installs a telemetry recorder (see
-    /// [`StreamingDetector::set_recorder`](crate::detector::StreamingDetector::set_recorder)).
+    /// Installs a telemetry recorder. Every push lands in the
+    /// `detector.push_sample_seconds` histogram, each classified window
+    /// in `detector.infer_seconds` plus the `detector.windows` counter.
+    /// The default is the shared no-op recorder, which never reads the
+    /// clock.
     pub fn set_recorder(&mut self, rec: Arc<dyn Recorder>) {
         self.rec = rec;
     }
 
-    /// Installs a [`DetectorTap`], replacing any previous one.
+    /// Installs a [`DetectorTap`]: a per-sample observer that sees
+    /// every ingest event (raw values, guard state, classified windows
+    /// with per-branch attribution). While a tap is installed,
+    /// inference runs through the traced engine path — bit-identical
+    /// scores, plus branch statistics. Replaces any previous tap.
     pub fn set_tap(&mut self, tap: Box<dyn DetectorTap>) {
         self.tap = Some(tap);
     }
@@ -248,7 +257,9 @@ impl Session {
     }
 
     /// Replaces the guard configuration, resetting all guard state
-    /// including the cumulative counters.
+    /// including the cumulative counters. On a
+    /// [`StreamingDetector`](crate::detector::StreamingDetector) use
+    /// its `set_guard`, which also updates the bundle's configuration.
     pub fn set_guard(&mut self, cfg: GuardConfig) {
         self.guard = SampleGuard::new(cfg);
     }
@@ -264,19 +275,27 @@ impl Session {
     }
 
     /// Whether the accelerometer branch currently confirms a fall-like
-    /// event (magnitude left the 1 g rest band recently).
+    /// event: accel magnitude left the 1 g rest band within the last
+    /// [`GuardConfig::accel_confirm_window`] samples.
     pub fn accel_confirms(&self) -> bool {
         self.guard.anomaly_age as usize <= self.guard.cfg.accel_confirm_window
     }
 
     /// Whether the trigger condition (N consecutive positive windows)
-    /// is currently met, ignoring degraded modes.
+    /// is currently met. This is the raw arming state; it deliberately
+    /// ignores degraded modes — see [`Session::trigger_decision`] for
+    /// the policy-aware check.
     pub fn trigger_armed(&self) -> bool {
         self.positives_in_a_row >= self.consecutive
     }
 
     /// The policy-aware trigger: armed *and* permitted by the
-    /// degraded-trigger policy.
+    /// degraded-trigger policy (see the
+    /// [`detector`](crate::detector) module docs). While degraded, a
+    /// trigger requires a healthy, non-stale accelerometer whose
+    /// magnitude recently confirmed a dynamic event; a probability
+    /// computed from masked or gap-filled data never fires the airbag on
+    /// its own.
     pub fn trigger_decision(&self) -> bool {
         self.trigger_armed() && self.guard_allows_trigger()
     }
@@ -304,7 +323,12 @@ impl Session {
         self.samples_seen
     }
 
-    /// Notifies an installed [`DetectorTap`] that a trial finished.
+    /// Notifies an installed [`DetectorTap`] that a trial finished
+    /// streaming. [`run_on_trial`](crate::detector::run_on_trial) and
+    /// the faulted-trial runner call this automatically; call it
+    /// yourself when driving the session sample-by-sample and the tap
+    /// needs trial boundaries (e.g. the flight recorder classifying a
+    /// missed fall).
     pub fn notify_trial_end(&mut self, trial: &Trial, outcome: &TrialOutcome) {
         if let Some(mut tap) = self.tap.take() {
             tap.on_trial_end(trial, outcome);
@@ -312,9 +336,18 @@ impl Session {
         }
     }
 
-    /// Feeds one raw 100 Hz sample (see
-    /// [`StreamingDetector::push_sample`](crate::detector::StreamingDetector::push_sample)),
-    /// classifying against `bundle`'s engine.
+    /// Feeds one raw 100 Hz sample (accelerometer in g, gyroscope in
+    /// rad/s), classifying against `bundle`'s engine. Returns the
+    /// window probability when a full hop completed, `None` otherwise.
+    ///
+    /// With [`GuardConfig::enabled`] (the default) the sample passes
+    /// through the [`SampleGuard`] first and the returned probability
+    /// is always finite and computed from validated data. With the
+    /// guard disabled this is the naive ingest: a single NaN axis
+    /// reading permanently poisons the Butterworth and fusion state,
+    /// after which every window is NaN and the network's `max`-based
+    /// layers launder it into a constant garbage score — the detector
+    /// goes silently blind.
     pub fn push_sample(
         &mut self,
         bundle: &ModelBundle,
@@ -324,8 +357,19 @@ impl Session {
         self.push_tick(bundle, accel, gyro, true).0
     }
 
-    /// Reports a missing grid tick (see
-    /// [`StreamingDetector::push_missing`](crate::detector::StreamingDetector::push_missing)).
+    /// Reports a missing grid tick (the sensor bus delivered nothing at
+    /// this 100 Hz slot). Returns a probability if bridging the gap
+    /// completed a hop.
+    ///
+    /// Gaps up to [`GuardConfig::max_gap_fill`] ticks are bridged by
+    /// re-ingesting the last good sample (counted as `gaps_filled`);
+    /// longer gaps mark the session stale, flush the window when real
+    /// data resumes, and are counted as `gap_lost`.
+    ///
+    /// With the guard disabled this is a no-op returning `None`: the
+    /// naive detector simply never learns a tick passed, so its window
+    /// silently loses grid alignment — the failure mode the guard
+    /// exists to prevent.
     pub fn push_missing(&mut self, bundle: &ModelBundle) -> Option<f32> {
         if !self.guard.cfg.enabled {
             // The naive path never learns a tick passed — but a tap
@@ -1157,7 +1201,10 @@ mod tests {
             let ps = session.push_sample(&b, a, g);
             let pd = serial.push_sample(a, g);
             assert_eq!(ps.map(f32::to_bits), pd.map(f32::to_bits), "sample {i}");
-            assert_eq!(session.trigger_decision(), serial.trigger_decision());
+            assert_eq!(
+                session.trigger_decision(),
+                serial.session().trigger_decision()
+            );
         }
     }
 

@@ -1,10 +1,11 @@
 //! Observation taps: a per-sample hook on the streaming detector.
 //!
 //! A [`DetectorTap`] installed with
-//! [`StreamingDetector::set_tap`](crate::detector::StreamingDetector::set_tap)
-//! sees every ingest event *after* it was processed — the raw
-//! pre-guard sensor values, the resulting [`DetectorMode`], a copy of
-//! the cumulative [`GuardStatus`] counters, and, on hop boundaries,
+//! [`Session::set_tap`](crate::session::Session::set_tap) (on a
+//! detector, `det.session_mut().set_tap(..)`) sees every ingest event
+//! *after* it was processed — the raw pre-guard sensor values, the
+//! resulting [`DetectorMode`], a copy of the cumulative [`GuardStatus`]
+//! counters, and, on hop boundaries,
 //! the classified window (score, arming state, policy-aware trigger
 //! decision, and per-branch score attribution from
 //! [`Network::forward_traced`](prefall_nn::network::Network::forward_traced)).
@@ -17,8 +18,8 @@
 //!
 //! Tap discipline: callbacks run on the hot ingest path, so an
 //! implementation must not allocate per call (after its own warm-up)
-//! and must not panic. The detector holds the tap by `Box` and invokes
-//! it via take/put-back, so a tap never observes the detector itself.
+//! and must not panic. The session holds the tap by `Box` and invokes
+//! it via take/put-back, so a tap never observes the session itself.
 
 use crate::detector::{DetectorMode, GuardStatus, TrialOutcome};
 use prefall_imu::trial::Trial;
@@ -31,10 +32,10 @@ pub struct WindowTap<'a> {
     /// Sigmoid window score (always finite on the guarded path).
     pub score: f32,
     /// Raw arming state after this window
-    /// ([`StreamingDetector::trigger_armed`](crate::detector::StreamingDetector::trigger_armed)).
+    /// ([`Session::trigger_armed`](crate::session::Session::trigger_armed)).
     pub armed: bool,
     /// Policy-aware trigger decision after this window
-    /// ([`StreamingDetector::trigger_decision`](crate::detector::StreamingDetector::trigger_decision)).
+    /// ([`Session::trigger_decision`](crate::session::Session::trigger_decision)).
     pub decision: bool,
     /// Per-branch activation statistics from the modality split, in
     /// branch order (accel, gyro, Euler for the paper's CNN). Empty
@@ -47,14 +48,14 @@ pub struct WindowTap<'a> {
 #[derive(Debug, Clone, Copy)]
 pub struct SampleTapCtx<'a> {
     /// Raw accelerometer reading in g, exactly as passed to
-    /// [`push_sample`](crate::detector::StreamingDetector::push_sample)
+    /// [`Session::push_sample`](crate::session::Session::push_sample)
     /// (pre-guard, possibly non-finite). The gap-fill hold value when
     /// `missing` is set.
     pub accel: [f32; 3],
     /// Raw gyroscope reading in rad/s (see `accel`).
     pub gyro: [f32; 3],
     /// `true` when this tick was reported via
-    /// [`push_missing`](crate::detector::StreamingDetector::push_missing).
+    /// [`Session::push_missing`](crate::session::Session::push_missing).
     pub missing: bool,
     /// Degraded modes active after this event.
     pub mode: DetectorMode,
@@ -72,14 +73,13 @@ pub trait DetectorTap: std::fmt::Debug + Send {
     /// Called once per ingest event, after processing.
     fn on_sample(&mut self, ctx: &SampleTapCtx<'_>);
 
-    /// Called from
-    /// [`StreamingDetector::reset`](crate::detector::StreamingDetector::reset):
+    /// Called from [`Session::reset`](crate::session::Session::reset):
     /// streaming state was cleared, a new stream begins.
     fn on_stream_reset(&mut self) {}
 
     /// Called when a trial finished streaming (from
-    /// [`stream_trial`](crate::detector::run_on_trial) and the faulted
-    /// runner), with the final outcome.
+    /// [`stream_ticks`](crate::detector::stream_ticks), which every
+    /// trial runner goes through), with the final outcome.
     fn on_trial_end(&mut self, _trial: &Trial, _outcome: &TrialOutcome) {}
 }
 

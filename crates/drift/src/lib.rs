@@ -11,9 +11,8 @@
 //! * [`sketch`] — allocation-bounded streaming sketches whose
 //!   accumulators are **integers**, making merges exactly associative
 //!   and commutative: per-axis moments plus fixed-bin quantile
-//!   histograms, with [`psi`](sketch::psi) (Population Stability
-//!   Index) and [`quantile_shift`](sketch::quantile_shift) scoring at
-//!   query time;
+//!   histograms, with [`psi`] (Population Stability Index) and
+//!   [`quantile_shift`] scoring at query time;
 //! * [`fingerprint`] — a [`Fingerprint`] bundles the sketches of one
 //!   stream (six raw IMU axes, the window-score distribution, and the
 //!   per-branch attribution shares from traced inference), with a

@@ -5,9 +5,10 @@
 //! Tap discipline (see `prefall_core::tap`): the per-sample path must
 //! not allocate after warm-up. Every sketch here is fixed-size and
 //! updated in place; branch shares are computed inline from the
-//! borrowed [`BranchStat`] slice (never through the allocating
-//! [`shares`](prefall_nn::network::shares) helper); epoch rotation is
-//! a `mem::swap` plus an in-place clear; and gauge publishes use
+//! borrowed [`BranchStat`](prefall_nn::network::BranchStat) slice
+//! (never through the allocating
+//! [`shares`](prefall_nn::network::BranchStat::shares) helper); epoch
+//! rotation is a `mem::swap` plus an in-place clear; and gauge publishes use
 //! static metric names. The workspace `noop_overhead` test counts
 //! allocations across an armed monitor's steady state and asserts
 //! zero.
@@ -210,7 +211,7 @@ impl DriftMonitor {
     /// the shared [`DriftHandle`].
     pub fn install(detector: &mut StreamingDetector, cfg: DriftConfig) -> DriftHandle {
         let (tap, handle) = Self::create(cfg);
-        detector.set_tap(Box::new(tap));
+        detector.session_mut().set_tap(Box::new(tap));
         handle
     }
 

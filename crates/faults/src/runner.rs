@@ -2,56 +2,33 @@
 
 use crate::plan::FaultPlan;
 use crate::stream::SampleEvent;
-use prefall_core::detector::{AirbagController, StreamingDetector, TrialOutcome};
+use prefall_core::detector::{stream_ticks, StreamingDetector, TrialOutcome};
 use prefall_imu::trial::Trial;
-use prefall_imu::SAMPLE_PERIOD_MS;
 use prefall_telemetry::Recorder;
 
 /// Streams one trial through the detector with the plan's faults
-/// applied live: corrupted samples go through
-/// [`StreamingDetector::push_sample`], dropped ticks through
-/// [`StreamingDetector::push_missing`]. The airbag fires from the
-/// policy-aware [`StreamingDetector::trigger_decision`].
+/// applied live, through the same trigger → airbag loop as
+/// [`prefall_core::detector::run_on_trial`]
+/// ([`prefall_core::detector::stream_ticks`]): corrupted samples go
+/// through [`StreamingDetector::push_sample`], dropped ticks through
+/// [`StreamingDetector::push_missing`].
 ///
 /// Emits `faults.trials`, `faults.dropped_samples` and
 /// `faults.nonfinite_probs` counters (the latter stays at zero while
-/// the guard is on — that is the guarantee under test), plus the same
-/// outcome shape as [`prefall_core::detector::run_on_trial`].
+/// the guard is on — that is the guarantee under test).
 pub fn run_on_faulted_trial(
     detector: &mut StreamingDetector,
     trial: &Trial,
     plan: &FaultPlan,
     rec: &dyn Recorder,
 ) -> TrialOutcome {
-    detector.reset();
-    let mut airbag = AirbagController::new();
-    let mut triggered_at = None;
-    let mut peak_prob: Option<f32> = None;
     let mut dropped: u64 = 0;
-    let mut nonfinite_probs: u64 = 0;
-
-    for (i, ev) in plan.stream(trial).enumerate() {
-        let prob = match ev {
-            SampleEvent::Sample { accel, gyro } => detector.push_sample(accel, gyro),
-            SampleEvent::Dropped => {
-                dropped += 1;
-                detector.push_missing()
-            }
-        };
-        if let Some(p) = prob {
-            if p.is_finite() {
-                peak_prob = Some(peak_prob.map_or(p, |q| q.max(p)));
-            } else {
-                nonfinite_probs += 1;
-            }
+    let ticks = plan.stream(trial).inspect(|ev| {
+        if *ev == SampleEvent::Dropped {
+            dropped += 1;
         }
-        let fire = detector.trigger_decision() && triggered_at.is_none();
-        if fire {
-            triggered_at = Some(i);
-        }
-        airbag.step(i, fire);
-    }
-
+    });
+    let (outcome, nonfinite_probs) = stream_ticks(detector, trial, ticks);
     if rec.enabled() {
         rec.counter_add("faults.trials", 1);
         if dropped > 0 {
@@ -61,22 +38,6 @@ pub fn run_on_faulted_trial(
             rec.counter_add("faults.nonfinite_probs", nonfinite_probs);
         }
     }
-
-    let impact = trial.impact();
-    let lead_time_ms = match (triggered_at, impact) {
-        (Some(t), Some(im)) => Some((im as f64 - t as f64) * SAMPLE_PERIOD_MS),
-        _ => None,
-    };
-    let protected = impact.map(|im| airbag.protects_at(im));
-    let outcome = TrialOutcome {
-        triggered_at,
-        impact,
-        lead_time_ms,
-        protected,
-        false_activation: !trial.is_fall() && triggered_at.is_some(),
-        peak_prob,
-    };
-    detector.notify_trial_end(trial, &outcome);
     outcome
 }
 
@@ -84,7 +45,7 @@ pub fn run_on_faulted_trial(
 mod tests {
     use super::*;
     use crate::plan::FaultPlan;
-    use prefall_core::detector::{run_on_trial, DetectorConfig, StreamingDetector};
+    use prefall_core::detector::{run_on_trial, DetectorConfig, GuardConfig, StreamingDetector};
     use prefall_core::models::ModelKind;
     use prefall_dsp::stats::Normalizer;
     use prefall_imu::dataset::Dataset;
@@ -97,15 +58,20 @@ mod tests {
         StreamingDetector::new(net, Normalizer::identity(9), cfg).unwrap()
     }
 
+    /// Pins the one trial loop on both ingest paths: the guarded one
+    /// and the guard-off one, which scores through `infer_unchecked`.
     #[test]
     fn empty_plan_matches_clean_run() {
         let ds = Dataset::combined_scaled(1, 1, 13).unwrap();
-        let mut d = detector();
         let plan = FaultPlan::new(7);
-        for trial in ds.trials().iter().take(6) {
-            let clean = run_on_trial(&mut d, trial);
-            let faulted = run_on_faulted_trial(&mut d, trial, &plan, &NoopRecorder);
-            assert_eq!(clean, faulted, "empty plan must be a no-op");
+        for guard in [GuardConfig::default(), GuardConfig::disabled()] {
+            let mut d = detector();
+            d.set_guard(guard);
+            for trial in ds.trials().iter().take(6) {
+                let clean = run_on_trial(&mut d, trial, &NoopRecorder);
+                let faulted = run_on_faulted_trial(&mut d, trial, &plan, &NoopRecorder);
+                assert_eq!(clean, faulted, "empty plan must be a no-op ({guard:?})");
+            }
         }
     }
 
@@ -123,7 +89,7 @@ mod tests {
             }
         }
         assert!(falls > 0, "dataset has falls");
-        let s = d.guard_status();
+        let s = d.session().guard_status();
         assert!(s.gaps_filled > 0, "dropout exercised gap fill");
         assert!(s.nonfinite > 0, "NaN bursts exercised validation");
         assert_eq!(s.engine_rejects, 0, "guard kept segments clean");

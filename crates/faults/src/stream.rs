@@ -3,19 +3,9 @@
 use crate::plan::{gaussian, key, mix64, unit, Fault, FaultPlan};
 use prefall_imu::trial::Trial;
 
-/// What the (possibly faulty) sensor bus delivered at one grid tick.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SampleEvent {
-    /// A sample arrived (its values may still be corrupted).
-    Sample {
-        /// Accelerometer reading in g.
-        accel: [f32; 3],
-        /// Gyroscope reading in rad/s.
-        gyro: [f32; 3],
-    },
-    /// The grid tick passed with no sample (dropout).
-    Dropped,
-}
+/// What the (possibly faulty) sensor bus delivered at one grid tick;
+/// defined next to the trial loop that consumes it.
+pub use prefall_core::detector::SampleEvent;
 
 /// Iterator over a trial's raw accel/gyro samples with a
 /// [`FaultPlan`] applied. Yields exactly [`Trial::len`] events.

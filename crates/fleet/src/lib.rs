@@ -2,11 +2,10 @@
 //!
 //! One process, one immutable model, thousands of wearers: this crate
 //! turns the single-stream detector of `prefall-core` into a fleet
-//! server. The refactored core split —
-//! [`ModelBundle`](prefall_core::session::ModelBundle) (shared,
+//! server. The refactored core split — [`ModelBundle`] (shared,
 //! immutable weights + normaliser + filter prototype) plus compact
-//! poolable [`Session`](prefall_core::session::Session)s (per-wearer
-//! filters, window, guard, workspace) — is what makes that cheap: a
+//! poolable [`Session`]s (per-wearer filters, window, guard,
+//! workspace) — is what makes that cheap: a
 //! session is a few kilobytes of reusable buffers, and inference runs
 //! against the shared bundle without copying the network.
 //!
@@ -31,8 +30,8 @@
 //!   silently dropping wearers.
 //! * Supervision: [`Fleet::reap_idle`] (or the background
 //!   [`Supervisor`]) parks stalled sessions as crash-safe
-//!   [`SessionCheckpoint`](prefall_core::session::SessionCheckpoint)s
-//!   and recycles their buffers through a per-shard free list — a
+//!   [`SessionCheckpoint`]s and recycles their buffers through a
+//!   per-shard free list — a
 //!   reconnecting wearer resumes with a warm window, and steady-state
 //!   churn allocates nothing.
 //!
@@ -86,7 +85,7 @@ pub use server::FleetServer;
 use prefall_core::session::{ModelBundle, Session, SessionCheckpoint};
 use prefall_core::CoreError;
 use prefall_drift::{compare, drift_doc, Fingerprint};
-use prefall_obsd::{DriftSource, FleetSource};
+use prefall_obsd::DriftSource;
 use prefall_par::Pool;
 use prefall_telemetry::{JsonValue, Recorder};
 use std::collections::{HashMap, VecDeque};
@@ -906,12 +905,6 @@ impl Fleet {
     }
 }
 
-impl FleetSource for Fleet {
-    fn fleet_json(&self) -> JsonValue {
-        self.stats().to_json()
-    }
-}
-
 impl DriftSource for Fleet {
     fn drift_json(&self, tenant: Option<u64>) -> Option<JsonValue> {
         let (reference, alarm_psi) = {
@@ -1249,7 +1242,7 @@ mod tests {
     fn stats_json_names_every_field() {
         let f = fleet(FleetConfig::default());
         let _ = f.ingest_one(&batch_for(1, 0, 10));
-        let doc = f.fleet_json();
+        let doc = f.stats().to_json();
         for key in [
             "sessions_active",
             "sessions_parked",

@@ -131,8 +131,7 @@ impl Network {
     }
 
     /// Pre-builds the interleaved dense and conv weight packs —
-    /// including inside [`SplitConcat`](crate::layers::SplitConcat)
-    /// branches — so the immutable
+    /// including inside [`SplitConcat`] branches — so the immutable
     /// [`Network::infer_scalar`](crate::workspace) path can use the
     /// packed kernels without allocating. Call after the weights settle
     /// (post-training, or before an evaluation sweep); without it

@@ -1,15 +1,13 @@
 //! Serving drift-fingerprint state over HTTP.
 //!
-//! Like [`FleetSource`](crate::fleet::FleetSource) and
-//! [`WatchSource`](crate::watch::WatchSource), this is a seam: the
+//! Like [`WatchSource`](crate::watch::WatchSource), this is a seam: the
 //! drift sketches live in `prefall-drift` (single-detector monitor)
 //! and `prefall-fleet` (per-tenant sketches merged into a fleet-wide
 //! view), both of which depend on this crate — so the exporter
 //! consumes a small `JsonValue`-shaped view that those handles
-//! implement, and [`MetricsServer::start_with_drift`] plugs it into
-//! the `/drift` route.
+//! implement, and [`Sources::drift`] plugs it into the `/drift` route.
 //!
-//! [`MetricsServer::start_with_drift`]: crate::server::MetricsServer::start_with_drift
+//! [`Sources::drift`]: crate::server::Sources::drift
 
 use prefall_telemetry::JsonValue;
 

@@ -4,10 +4,10 @@
 //! this crate for serving — so the server cannot name the recorder's
 //! types directly. [`IncidentSource`] is the seam: a small
 //! `JsonValue`-shaped view of "the recent incidents" that the
-//! recorder's handle implements and
-//! [`MetricsServer::start_with_incidents`] consumes.
+//! recorder's handle implements and [`Sources::incidents`] plugs into
+//! the server.
 //!
-//! [`MetricsServer::start_with_incidents`]: crate::server::MetricsServer::start_with_incidents
+//! [`Sources::incidents`]: crate::server::Sources::incidents
 
 use prefall_telemetry::JsonValue;
 

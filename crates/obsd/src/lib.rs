@@ -23,13 +23,18 @@
 //! # Quickstart
 //!
 //! ```no_run
-//! use prefall_obsd::{MetricsServer, ServerConfig};
+//! use prefall_obsd::{MetricsServer, ServerConfig, Sources};
 //! use prefall_telemetry::{Recorder, Registry};
 //! use std::sync::Arc;
 //!
 //! # fn main() -> std::io::Result<()> {
 //! let registry = Arc::new(Registry::new());
-//! let server = MetricsServer::start("127.0.0.1:9898", Arc::clone(&registry), ServerConfig::default())?;
+//! let server = MetricsServer::start(
+//!     "127.0.0.1:9898",
+//!     Arc::clone(&registry),
+//!     ServerConfig::default(),
+//!     Sources::default(),
+//! )?;
 //! registry.counter_add("detector.windows", 1);
 //! println!("scrape {}/metrics", server.url());
 //! # Ok(())
@@ -44,7 +49,6 @@
 //! [`Registry`]: prefall_telemetry::Registry
 
 pub mod drift;
-pub mod fleet;
 pub mod health;
 pub mod http;
 pub mod incidents;
@@ -53,11 +57,10 @@ pub mod server;
 pub mod watch;
 
 pub use drift::DriftSource;
-pub use fleet::FleetSource;
 pub use health::{HealthReport, HealthStatus};
 pub use http::HttpRequest;
 pub use incidents::IncidentSource;
-pub use server::{MetricsServer, ServerConfig};
+pub use server::{MetricsServer, ServerConfig, Sources};
 pub use watch::WatchSource;
 
 use prefall_telemetry::{Registry, TelemetryEnv};
@@ -70,7 +73,13 @@ use std::sync::Arc;
 /// a benchmark must not die because a port is taken.
 pub fn serve_from_env(registry: &Arc<Registry>) -> Option<MetricsServer> {
     let addr = TelemetryEnv::from_env().metrics_addr?;
-    match MetricsServer::start(addr.as_str(), Arc::clone(registry), ServerConfig::default()) {
+    let config = ServerConfig::default();
+    match MetricsServer::start(
+        addr.as_str(),
+        Arc::clone(registry),
+        config,
+        Sources::default(),
+    ) {
         Ok(server) => {
             eprintln!(
                 "[prefall] metrics endpoint live at {}/metrics (healthz, snapshot)",

@@ -12,7 +12,6 @@
 //! | `GET /tsdb?series=&window=` | windowed points of one sampled series, or the series catalogue (with a [`WatchSource`] attached) |
 //! | `GET /slo` | current SLO evaluation state: burn rates, firing flags |
 //! | `GET /alerts` | recent alert fire/resolve transitions |
-//! | `GET /fleet` | multi-stream session registry stats (with a [`FleetSource`] attached) |
 //! | `GET /drift?tenant=` | drift fingerprint scores, fleet-wide or per tenant (with a [`DriftSource`] attached) |
 //!
 //! The server deliberately implements only what a scraper needs:
@@ -28,7 +27,6 @@
 //! blind every scraper. Cut-offs are counted as `obsd.conn_timeouts`.
 
 use crate::drift::DriftSource;
-use crate::fleet::FleetSource;
 use crate::health::HealthReport;
 use crate::http;
 use crate::incidents::IncidentSource;
@@ -75,14 +73,27 @@ impl Default for ServerConfig {
     }
 }
 
-/// The optional providers a fully-wired exporter serves from.
+/// The optional providers an exporter serves from, beyond the registry.
+/// `Sources::default()` attaches none: `/metrics`, `/healthz` and
+/// `/snapshot` only.
 #[derive(Default)]
-struct Sources {
-    incidents: Option<Arc<dyn IncidentSource>>,
-    trace: Option<Arc<LastTrace>>,
-    watch: Option<Arc<dyn WatchSource>>,
-    fleet: Option<Arc<dyn FleetSource>>,
-    drift: Option<Arc<dyn DriftSource>>,
+pub struct Sources {
+    /// Serves `/incidents` (summary list) and `/incidents/{id}` (full
+    /// dump detail); every `/healthz` verdict is fed back to it so a
+    /// flight recorder can dump on the healthy → degraded edge.
+    pub incidents: Option<Arc<dyn IncidentSource>>,
+    /// Serves `/trace`: the most recently drained Chrome trace-event
+    /// JSON. Whoever drains (a profile run, the streaming detector's
+    /// supervisor) publishes via [`LastTrace::store`] and any Perfetto
+    /// user pulls it over HTTP.
+    pub trace: Option<Arc<LastTrace>>,
+    /// Serves `/tsdb`, `/slo` and `/alerts`; a firing SLO flips
+    /// `/healthz` to `503` with the firing names listed under
+    /// `"slo_firing"`.
+    pub watch: Option<Arc<dyn WatchSource>>,
+    /// Serves `/drift` (the global fingerprint-vs-reference scores) and
+    /// `/drift?tenant=<wearer>` (the per-tenant view).
+    pub drift: Option<Arc<dyn DriftSource>>,
 }
 
 /// A running metrics endpoint. Dropping the handle stops the listener
@@ -96,8 +107,8 @@ pub struct MetricsServer {
 
 impl MetricsServer {
     /// Binds `addr` (e.g. `127.0.0.1:9898`; port `0` picks a free port,
-    /// see [`MetricsServer::addr`]) and starts serving the registry on
-    /// a background thread.
+    /// see [`MetricsServer::addr`]) and starts serving the registry, plus
+    /// whatever `sources` attaches, on a background thread.
     ///
     /// # Errors
     ///
@@ -106,105 +117,7 @@ impl MetricsServer {
         addr: impl ToSocketAddrs,
         registry: Arc<Registry>,
         config: ServerConfig,
-    ) -> std::io::Result<Self> {
-        Self::start_with_incidents(addr, registry, config, None)
-    }
-
-    /// [`MetricsServer::start`] with an [`IncidentSource`] attached:
-    /// additionally serves `/incidents` (summary list) and
-    /// `/incidents/{id}` (full dump detail), and feeds every `/healthz`
-    /// verdict back to the source so a flight recorder can dump on the
-    /// healthy → degraded edge.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind failures (`EADDRINUSE`, permission, bad address).
-    pub fn start_with_incidents(
-        addr: impl ToSocketAddrs,
-        registry: Arc<Registry>,
-        config: ServerConfig,
-        incidents: Option<Arc<dyn IncidentSource>>,
-    ) -> std::io::Result<Self> {
-        Self::start_full(addr, registry, config, incidents, None)
-    }
-
-    /// The fully-wired form: [`MetricsServer::start_with_incidents`]
-    /// plus an optional [`LastTrace`] store. When attached, `/trace`
-    /// serves the most recently drained Chrome trace-event JSON —
-    /// whoever drains (a profile run, the streaming detector's
-    /// supervisor) publishes via [`LastTrace::store`] and any Perfetto
-    /// user pulls it over HTTP.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind failures (`EADDRINUSE`, permission, bad address).
-    pub fn start_full(
-        addr: impl ToSocketAddrs,
-        registry: Arc<Registry>,
-        config: ServerConfig,
-        incidents: Option<Arc<dyn IncidentSource>>,
-        trace: Option<Arc<LastTrace>>,
-    ) -> std::io::Result<Self> {
-        Self::start_with_watch(addr, registry, config, incidents, trace, None)
-    }
-
-    /// [`MetricsServer::start_full`] plus an optional [`WatchSource`].
-    /// When attached, `/tsdb`, `/slo` and `/alerts` serve the watch
-    /// layer's state, and a firing SLO flips `/healthz` to `503` with
-    /// the firing names listed under `"slo_firing"`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind failures (`EADDRINUSE`, permission, bad address).
-    pub fn start_with_watch(
-        addr: impl ToSocketAddrs,
-        registry: Arc<Registry>,
-        config: ServerConfig,
-        incidents: Option<Arc<dyn IncidentSource>>,
-        trace: Option<Arc<LastTrace>>,
-        watch: Option<Arc<dyn WatchSource>>,
-    ) -> std::io::Result<Self> {
-        Self::start_with_fleet(addr, registry, config, incidents, trace, watch, None)
-    }
-
-    /// [`MetricsServer::start_with_watch`] plus an optional
-    /// [`FleetSource`]. When attached, `/fleet` serves the session
-    /// registry's live stats (sessions active/parked/free, queue
-    /// high-water, shed and reject totals).
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind failures (`EADDRINUSE`, permission, bad address).
-    pub fn start_with_fleet(
-        addr: impl ToSocketAddrs,
-        registry: Arc<Registry>,
-        config: ServerConfig,
-        incidents: Option<Arc<dyn IncidentSource>>,
-        trace: Option<Arc<LastTrace>>,
-        watch: Option<Arc<dyn WatchSource>>,
-        fleet: Option<Arc<dyn FleetSource>>,
-    ) -> std::io::Result<Self> {
-        Self::start_with_drift(addr, registry, config, incidents, trace, watch, fleet, None)
-    }
-
-    /// The outermost constructor: [`MetricsServer::start_with_fleet`]
-    /// plus an optional [`DriftSource`]. When attached, `/drift`
-    /// serves the global fingerprint-vs-reference scores and
-    /// `/drift?tenant=<wearer>` the per-tenant view.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind failures (`EADDRINUSE`, permission, bad address).
-    #[allow(clippy::too_many_arguments)]
-    pub fn start_with_drift(
-        addr: impl ToSocketAddrs,
-        registry: Arc<Registry>,
-        config: ServerConfig,
-        incidents: Option<Arc<dyn IncidentSource>>,
-        trace: Option<Arc<LastTrace>>,
-        watch: Option<Arc<dyn WatchSource>>,
-        fleet: Option<Arc<dyn FleetSource>>,
-        drift: Option<Arc<dyn DriftSource>>,
+        sources: Sources,
     ) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
@@ -213,13 +126,6 @@ impl MetricsServer {
         listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
         let thread_stop = Arc::clone(&stop);
-        let sources = Sources {
-            incidents,
-            trace,
-            watch,
-            fleet,
-            drift,
-        };
         let handle = std::thread::Builder::new()
             .name("prefall-obsd".to_string())
             .spawn(move || serve_loop(listener, registry, config, sources, thread_stop))
@@ -301,7 +207,6 @@ fn handle_connection(
     let incidents = sources.incidents.as_deref();
     let trace = sources.trace.as_deref();
     let watch = sources.watch.as_deref();
-    let fleet = sources.fleet.as_deref();
     let drift = sources.drift.as_deref();
 
     stream.set_nonblocking(false)?;
@@ -332,7 +237,7 @@ fn handle_connection(
             &mut stream,
             405,
             "Method Not Allowed",
-            "text/plain; charset=utf-8",
+            TEXT,
             "method not allowed\n",
             method == "HEAD",
         );
@@ -385,176 +290,69 @@ fn handle_connection(
             if let Some(src) = incidents {
                 src.on_health_status(code != 200, &doc);
             }
-            let mut body = doc.to_string();
-            body.push('\n');
-            (code, reason, "application/json; charset=utf-8", body)
+            (code, reason, JSON, format!("{doc}\n"))
         }
-        "/snapshot" => {
-            let mut body = snapshot_json(&registry.snapshot()).to_string();
-            body.push('\n');
-            (200, "OK", "application/json; charset=utf-8", body)
-        }
+        "/snapshot" => json_reply(&snapshot_json(&registry.snapshot())),
         "/incidents" => match incidents {
-            Some(src) => {
-                let mut body = src.list_json().to_string();
-                body.push('\n');
-                (200, "OK", "application/json; charset=utf-8", body)
-            }
-            None => (
-                404,
-                "Not Found",
-                "text/plain; charset=utf-8",
-                "no incident source attached\n".to_string(),
-            ),
+            Some(src) => json_reply(&src.list_json()),
+            None => not_found("no incident source attached"),
         },
         p if p.starts_with("/incidents/") => {
             let id = &p["/incidents/".len()..];
             match incidents.and_then(|src| src.get_json(id)) {
-                Some(doc) => {
-                    let mut body = doc.to_string();
-                    body.push('\n');
-                    (200, "OK", "application/json; charset=utf-8", body)
-                }
-                None => (
-                    404,
-                    "Not Found",
-                    "text/plain; charset=utf-8",
-                    "unknown incident\n".to_string(),
-                ),
+                Some(doc) => json_reply(&doc),
+                None => not_found("unknown incident"),
             }
         }
         "/trace" => match trace.and_then(LastTrace::latest) {
-            Some(mut body) => {
-                body.push('\n');
-                (200, "OK", "application/json; charset=utf-8", body)
-            }
-            None => (
-                404,
-                "Not Found",
-                "text/plain; charset=utf-8",
-                if trace.is_some() {
-                    "no trace drained yet\n".to_string()
-                } else {
-                    "no trace store attached\n".to_string()
-                },
-            ),
+            Some(body) => (200, "OK", JSON, body + "\n"),
+            None if trace.is_some() => not_found("no trace drained yet"),
+            None => not_found("no trace store attached"),
         },
         "/tsdb" => match watch {
-            Some(w) => {
-                let series = query_param(query, "series");
-                let window = query_param(query, "window").and_then(|s| s.parse::<f64>().ok());
-                match series {
-                    Some(name) => match w.tsdb_json(name, window) {
-                        Some(doc) => {
-                            let mut body = doc.to_string();
-                            body.push('\n');
-                            (200, "OK", "application/json; charset=utf-8", body)
-                        }
-                        None => (
-                            404,
-                            "Not Found",
-                            "text/plain; charset=utf-8",
-                            "unknown series\n".to_string(),
-                        ),
-                    },
-                    None => {
-                        let mut body = w.series_json().to_string();
-                        body.push('\n');
-                        (200, "OK", "application/json; charset=utf-8", body)
+            Some(w) => match query_param(query, "series") {
+                Some(name) => {
+                    let window = query_param(query, "window").and_then(|s| s.parse::<f64>().ok());
+                    match w.tsdb_json(name, window) {
+                        Some(doc) => json_reply(&doc),
+                        None => not_found("unknown series"),
                     }
                 }
-            }
-            None => (
-                404,
-                "Not Found",
-                "text/plain; charset=utf-8",
-                "no watch source attached\n".to_string(),
-            ),
+                None => json_reply(&w.series_json()),
+            },
+            None => not_found("no watch source attached"),
         },
         "/slo" => match watch {
-            Some(w) => {
-                let mut body = w.slo_json().to_string();
-                body.push('\n');
-                (200, "OK", "application/json; charset=utf-8", body)
-            }
-            None => (
-                404,
-                "Not Found",
-                "text/plain; charset=utf-8",
-                "no watch source attached\n".to_string(),
-            ),
+            Some(w) => json_reply(&w.slo_json()),
+            None => not_found("no watch source attached"),
         },
         "/alerts" => match watch {
-            Some(w) => {
-                let mut body = w.alerts_json().to_string();
-                body.push('\n');
-                (200, "OK", "application/json; charset=utf-8", body)
-            }
-            None => (
-                404,
-                "Not Found",
-                "text/plain; charset=utf-8",
-                "no watch source attached\n".to_string(),
-            ),
-        },
-        "/fleet" => match fleet {
-            Some(f) => {
-                let mut body = f.fleet_json().to_string();
-                body.push('\n');
-                (200, "OK", "application/json; charset=utf-8", body)
-            }
-            None => (
-                404,
-                "Not Found",
-                "text/plain; charset=utf-8",
-                "no fleet source attached\n".to_string(),
-            ),
+            Some(w) => json_reply(&w.alerts_json()),
+            None => not_found("no watch source attached"),
         },
         "/drift" => match drift {
-            Some(d) => {
-                let tenant = query_param(query, "tenant");
-                match tenant.map(|t| t.parse::<u64>()) {
-                    Some(Err(_)) => (
-                        400,
-                        "Bad Request",
-                        "text/plain; charset=utf-8",
-                        "tenant must be an unsigned integer\n".to_string(),
-                    ),
-                    parsed => match d.drift_json(parsed.and_then(Result::ok)) {
-                        Some(doc) => {
-                            let mut body = doc.to_string();
-                            body.push('\n');
-                            (200, "OK", "application/json; charset=utf-8", body)
-                        }
-                        None => (
-                            404,
-                            "Not Found",
-                            "text/plain; charset=utf-8",
-                            "unknown tenant\n".to_string(),
-                        ),
-                    },
-                }
-            }
-            None => (
-                404,
-                "Not Found",
-                "text/plain; charset=utf-8",
-                "no drift source attached\n".to_string(),
-            ),
+            Some(d) => match query_param(query, "tenant").map(|t| t.parse::<u64>()) {
+                Some(Err(_)) => (
+                    400,
+                    "Bad Request",
+                    TEXT,
+                    "tenant must be an unsigned integer\n".to_string(),
+                ),
+                parsed => match d.drift_json(parsed.and_then(Result::ok)) {
+                    Some(doc) => json_reply(&doc),
+                    None => not_found("unknown tenant"),
+                },
+            },
+            None => not_found("no drift source attached"),
         },
         "/" => (
             200,
             "OK",
-            "text/plain; charset=utf-8",
-            "prefall-obsd: /metrics /healthz /snapshot /incidents /trace /tsdb?series=&window= /slo /alerts /fleet /drift?tenant=\n"
+            TEXT,
+            "prefall-obsd: /metrics /healthz /snapshot /incidents /trace /tsdb?series=&window= /slo /alerts /drift?tenant=\n"
                 .to_string(),
         ),
-        _ => (
-            404,
-            "Not Found",
-            "text/plain; charset=utf-8",
-            "not found\n".to_string(),
-        ),
+        _ => not_found("not found"),
     };
     http::respond(
         &mut stream,
@@ -564,6 +362,22 @@ fn handle_connection(
         &body,
         method == "HEAD",
     )
+}
+
+const JSON: &str = "application/json; charset=utf-8";
+const TEXT: &str = "text/plain; charset=utf-8";
+
+/// A response: status code, reason phrase, content type, body.
+type Reply = (u16, &'static str, &'static str, String);
+
+/// `200 OK` with a JSON document.
+fn json_reply(doc: &JsonValue) -> Reply {
+    (200, "OK", JSON, format!("{doc}\n"))
+}
+
+/// `404 Not Found` with a one-line plain-text reason.
+fn not_found(reason: &str) -> Reply {
+    (404, "Not Found", TEXT, format!("{reason}\n"))
 }
 
 /// The `/snapshot` document: the registry snapshot plus derived
@@ -640,6 +454,7 @@ mod tests {
             "127.0.0.1:0",
             Arc::clone(&registry),
             ServerConfig::default(),
+            Sources::default(),
         )
         .expect("bind");
         let addr = server.addr();
@@ -676,6 +491,7 @@ mod tests {
             "127.0.0.1:0",
             Arc::clone(&registry),
             ServerConfig::default(),
+            Sources::default(),
         )
         .expect("bind");
         let (code, body) = get(server.addr(), "/snapshot");
@@ -727,11 +543,15 @@ mod tests {
         let source = Arc::new(FakeSource {
             health_calls: std::sync::Mutex::new(Vec::new()),
         });
-        let server = MetricsServer::start_with_incidents(
+        let sources = Sources {
+            incidents: Some(Arc::clone(&source) as Arc<dyn IncidentSource>),
+            ..Sources::default()
+        };
+        let server = MetricsServer::start(
             "127.0.0.1:0",
             Arc::clone(&registry),
             ServerConfig::default(),
-            Some(Arc::clone(&source) as Arc<dyn IncidentSource>),
+            sources,
         )
         .expect("bind");
         let addr = server.addr();
@@ -767,6 +587,7 @@ mod tests {
             "127.0.0.1:0",
             Arc::clone(&registry),
             ServerConfig::default(),
+            Sources::default(),
         )
         .expect("bind");
         let (code, body) = get(server.addr(), "/healthz");
@@ -785,6 +606,7 @@ mod tests {
             "127.0.0.1:0",
             Arc::clone(&registry),
             ServerConfig::default(),
+            Sources::default(),
         )
         .expect("bind");
         let (code, body) = get(server.addr(), "/healthz");
@@ -798,12 +620,15 @@ mod tests {
     fn serves_trace_when_attached_and_404s_otherwise() {
         let registry = Arc::new(Registry::new());
         let store = Arc::new(LastTrace::new());
-        let server = MetricsServer::start_full(
+        let sources = Sources {
+            trace: Some(Arc::clone(&store)),
+            ..Sources::default()
+        };
+        let server = MetricsServer::start(
             "127.0.0.1:0",
             Arc::clone(&registry),
             ServerConfig::default(),
-            None,
-            Some(Arc::clone(&store)),
+            sources,
         )
         .expect("bind");
         let addr = server.addr();
@@ -824,6 +649,7 @@ mod tests {
             "127.0.0.1:0",
             Arc::clone(&registry),
             ServerConfig::default(),
+            Sources::default(),
         )
         .expect("bind");
         let (code, body) = get(server.addr(), "/trace");
@@ -872,13 +698,15 @@ mod tests {
     fn serves_watch_routes_and_parses_query() {
         let registry = Arc::new(Registry::new());
         let watch = Arc::new(FakeWatch { firing: vec![] });
-        let server = MetricsServer::start_with_watch(
+        let sources = Sources {
+            watch: Some(watch as Arc<dyn crate::watch::WatchSource>),
+            ..Sources::default()
+        };
+        let server = MetricsServer::start(
             "127.0.0.1:0",
             Arc::clone(&registry),
             ServerConfig::default(),
-            None,
-            None,
-            Some(watch as Arc<dyn crate::watch::WatchSource>),
+            sources,
         )
         .expect("bind");
         let addr = server.addr();
@@ -914,7 +742,6 @@ mod tests {
             "/tsdb",
             "/slo",
             "/alerts",
-            "/fleet",
             "/drift",
         ] {
             assert!(body.contains(route), "index missing {route}: {body}");
@@ -926,6 +753,7 @@ mod tests {
             "127.0.0.1:0",
             Arc::clone(&registry),
             ServerConfig::default(),
+            Sources::default(),
         )
         .expect("bind");
         let (code, body) = get(server.addr(), "/slo");
@@ -940,13 +768,15 @@ mod tests {
         let watch = Arc::new(FakeWatch {
             firing: vec!["fa_rate".to_string()],
         });
-        let server = MetricsServer::start_with_watch(
+        let sources = Sources {
+            watch: Some(watch as Arc<dyn crate::watch::WatchSource>),
+            ..Sources::default()
+        };
+        let server = MetricsServer::start(
             "127.0.0.1:0",
             Arc::clone(&registry),
             ServerConfig::default(),
-            None,
-            None,
-            Some(watch as Arc<dyn crate::watch::WatchSource>),
+            sources,
         )
         .expect("bind");
         let (code, body) = get(server.addr(), "/healthz");
@@ -963,6 +793,7 @@ mod tests {
             "127.0.0.1:0",
             Arc::clone(&registry),
             ServerConfig::default(),
+            Sources::default(),
         )
         .expect("bind");
         let addr = server.addr();
@@ -978,46 +809,6 @@ mod tests {
         registry.counter_add("live.updates", 1);
         let (_, body) = get(addr, "/metrics");
         assert!(body.contains("prefall_live_updates_total 1"), "{body}");
-    }
-
-    /// A canned fleet source for the `/fleet` route test.
-    #[derive(Debug)]
-    struct FakeFleet;
-
-    impl FleetSource for FakeFleet {
-        fn fleet_json(&self) -> JsonValue {
-            JsonValue::Obj(vec![("sessions_active".to_string(), JsonValue::U64(3))])
-        }
-    }
-
-    #[test]
-    fn serves_fleet_stats_when_attached_and_404s_otherwise() {
-        let registry = Arc::new(Registry::new());
-        let server = MetricsServer::start_with_fleet(
-            "127.0.0.1:0",
-            Arc::clone(&registry),
-            ServerConfig::default(),
-            None,
-            None,
-            None,
-            Some(Arc::new(FakeFleet) as Arc<dyn FleetSource>),
-        )
-        .expect("bind");
-        let (code, body) = get(server.addr(), "/fleet");
-        assert_eq!(code, 200);
-        assert!(body.contains("\"sessions_active\":3"), "{body}");
-        server.shutdown();
-
-        let server = MetricsServer::start(
-            "127.0.0.1:0",
-            Arc::clone(&registry),
-            ServerConfig::default(),
-        )
-        .expect("bind");
-        let (code, body) = get(server.addr(), "/fleet");
-        assert_eq!(code, 404);
-        assert!(body.contains("no fleet source attached"), "{body}");
-        server.shutdown();
     }
 
     /// A canned drift source: knows tenant 7 and the global view.
@@ -1043,15 +834,15 @@ mod tests {
     #[test]
     fn serves_drift_views_with_tenant_validation() {
         let registry = Arc::new(Registry::new());
-        let server = MetricsServer::start_with_drift(
+        let sources = Sources {
+            drift: Some(Arc::new(FakeDrift) as Arc<dyn DriftSource>),
+            ..Sources::default()
+        };
+        let server = MetricsServer::start(
             "127.0.0.1:0",
             Arc::clone(&registry),
             ServerConfig::default(),
-            None,
-            None,
-            None,
-            None,
-            Some(Arc::new(FakeDrift) as Arc<dyn DriftSource>),
+            sources,
         )
         .expect("bind");
         let addr = server.addr();
@@ -1077,6 +868,7 @@ mod tests {
             "127.0.0.1:0",
             Arc::clone(&registry),
             ServerConfig::default(),
+            Sources::default(),
         )
         .expect("bind");
         let (code, body) = get(server.addr(), "/drift");
@@ -1092,8 +884,13 @@ mod tests {
             conn_deadline: Duration::from_millis(200),
             ..ServerConfig::default()
         };
-        let server =
-            MetricsServer::start("127.0.0.1:0", Arc::clone(&registry), config).expect("bind");
+        let server = MetricsServer::start(
+            "127.0.0.1:0",
+            Arc::clone(&registry),
+            config,
+            Sources::default(),
+        )
+        .expect("bind");
         let addr = server.addr();
 
         // The attack: dial in and never finish the request line. The

@@ -5,10 +5,10 @@
 //! a seam: the store and SLO engine live in `prefall-watch`, which
 //! depends on this crate — so the server consumes a small
 //! `JsonValue`-shaped view that the watch handle implements, and
-//! [`MetricsServer::start_with_watch`] plugs it into three routes
-//! (`/tsdb`, `/slo`, `/alerts`) plus the `/healthz` verdict.
+//! [`Sources::watch`] plugs it into three routes (`/tsdb`, `/slo`,
+//! `/alerts`) plus the `/healthz` verdict.
 //!
-//! [`MetricsServer::start_with_watch`]: crate::server::MetricsServer::start_with_watch
+//! [`Sources::watch`]: crate::server::Sources::watch
 
 use prefall_telemetry::JsonValue;
 

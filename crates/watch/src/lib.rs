@@ -22,9 +22,9 @@
 //!   SLO breach asks the blackbox flight recorder for a forensic dump.
 //!
 //! The [`Watch`] handle ties the three together and implements
-//! [`prefall_obsd::WatchSource`], so one
-//! [`MetricsServer::start_with_watch`] call exposes `/tsdb`, `/slo`
-//! and `/alerts` — and flips `/healthz` to 503 while an SLO is firing.
+//! [`prefall_obsd::WatchSource`], so one [`MetricsServer::start`] call
+//! with it as [`Sources::watch`] exposes `/tsdb`, `/slo` and `/alerts`
+//! — and flips `/healthz` to 503 while an SLO is firing.
 //!
 //! # Quickstart
 //!
@@ -57,7 +57,8 @@
 //! ```
 //!
 //! [`Registry`]: prefall_telemetry::Registry
-//! [`MetricsServer::start_with_watch`]: prefall_obsd::MetricsServer::start_with_watch
+//! [`MetricsServer::start`]: prefall_obsd::MetricsServer::start
+//! [`Sources::watch`]: prefall_obsd::Sources::watch
 //! [`IncidentCapture`]: alert::IncidentCapture
 
 pub mod alert;

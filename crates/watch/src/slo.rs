@@ -1,5 +1,5 @@
 //! Declarative SLOs evaluated as multi-window burn rates over the
-//! [`TsStore`](crate::store::TsStore).
+//! [`TsStore`].
 //!
 //! Each SLO names an objective (a ceiling or floor over a derived
 //! signal) and two windows. The **burn rate** is how many times over

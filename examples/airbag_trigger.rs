@@ -16,6 +16,7 @@ use prefall::core::persist::DetectorBundle;
 use prefall::core::pipeline::{Pipeline, PipelineConfig};
 use prefall::imu::dataset::{Dataset, DatasetConfig};
 use prefall::nn::network::BranchStat;
+use prefall::telemetry::NoopRecorder;
 use prefall_core::augment::augment_positives;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -93,7 +94,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .iter()
         .filter(|t| split.test.contains(&t.subject))
     {
-        let outcome = run_on_trial(&mut detector, trial);
+        let outcome = run_on_trial(&mut detector, trial, &NoopRecorder);
         if trial.is_fall() {
             falls += 1;
             if outcome.protected == Some(true) {

@@ -46,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // Fresh counters per intensity so each row stands alone.
         det.set_guard(prefall::core::detector::GuardConfig::default());
         let out = run_on_faulted_trial(&mut det, trial, &plan, &NoopRecorder);
-        let s = det.guard_status();
+        let s = det.session().guard_status();
         println!(
             "{intensity:9.2}  {:6}  {:9}  {:4}  {:5}  {:5}/{:<6}  {:.4}",
             s.faults(),

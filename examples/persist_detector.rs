@@ -13,6 +13,7 @@ use prefall::core::models::ModelKind;
 use prefall::core::persist::DetectorBundle;
 use prefall::core::pipeline::{Pipeline, PipelineConfig};
 use prefall::imu::dataset::Dataset;
+use prefall::telemetry::NoopRecorder;
 use prefall_core::augment::augment_positives;
 use prefall_dsp::segment::Overlap;
 
@@ -86,7 +87,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .filter(|t| split.test.contains(&t.subject) && t.is_fall())
         .take(5)
     {
-        let outcome = run_on_trial(&mut detector, trial);
+        let outcome = run_on_trial(&mut detector, trial, &NoopRecorder);
         println!(
             "task {:>2}: trigger {:?}, lead {:?} ms, protected {:?}",
             trial.task.get(),

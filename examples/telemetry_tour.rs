@@ -149,6 +149,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "127.0.0.1:0",
         run_registry.clone(),
         prefall::obsd::ServerConfig::default(),
+        prefall::obsd::Sources::default(),
     )?;
     println!(
         "serving {} — e.g. curl {}/metrics",
@@ -200,7 +201,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         prefall::core::detector::GuardConfig::default(),
         prefall::blackbox::FlightConfig::default(),
     )?;
-    detector.set_recorder(run_registry.clone());
+    detector.session_mut().set_recorder(run_registry.clone());
     flight.set_recorder(run_registry.clone());
 
     // Stream one fall trial through dropout + NaN bursts; the trigger
@@ -216,11 +217,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The same dumps are served over HTTP next to /metrics: attach the
     // handle as the server's incident source.
-    let forensics = prefall::obsd::MetricsServer::start_with_incidents(
+    let forensics = prefall::obsd::MetricsServer::start(
         "127.0.0.1:0",
         run_registry.clone(),
         prefall::obsd::ServerConfig::default(),
-        Some(Arc::new(flight.clone())),
+        prefall::obsd::Sources {
+            incidents: Some(Arc::new(flight.clone())),
+            ..Default::default()
+        },
     )?;
     println!(
         "incidents served at {}/incidents (and /incidents/<id>)",
@@ -344,13 +348,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The same state is queryable over HTTP: attach the watch as the
     // server's WatchSource and /tsdb, /slo, /alerts go live (and a
     // firing SLO would flip /healthz to 503, naming itself).
-    let slo_server = prefall::obsd::MetricsServer::start_with_watch(
+    let slo_server = prefall::obsd::MetricsServer::start(
         "127.0.0.1:0",
         watched.clone(),
         prefall::obsd::ServerConfig::default(),
-        None,
-        None,
-        Some(watch.clone() as Arc<dyn prefall::obsd::WatchSource>),
+        prefall::obsd::Sources {
+            watch: Some(watch.clone() as Arc<dyn prefall::obsd::WatchSource>),
+            ..Default::default()
+        },
     )?;
     let slo_body = {
         use std::io::{Read, Write};
@@ -481,15 +486,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // bench replays end to end. The same state is served over HTTP:
     // a DriftHandle is a DriftSource, and the fleet registry serves
     // per-tenant views at /drift?tenant=<id>.
-    let drift_server = prefall::obsd::MetricsServer::start_with_drift(
+    let drift_server = prefall::obsd::MetricsServer::start(
         "127.0.0.1:0",
         watched.clone(),
         prefall::obsd::ServerConfig::default(),
-        None,
-        None,
-        None,
-        None,
-        Some(Arc::new(live.clone()) as Arc<dyn prefall::obsd::DriftSource>),
+        prefall::obsd::Sources {
+            drift: Some(Arc::new(live.clone()) as Arc<dyn prefall::obsd::DriftSource>),
+            ..Default::default()
+        },
     )?;
     let drift_body = {
         use std::io::{Read, Write};

@@ -93,12 +93,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n== 5. serve the trace over HTTP ==");
     let store = Arc::new(prefall::trace::LastTrace::new());
     store.store(chrome);
-    let server = prefall::obsd::MetricsServer::start_full(
+    let server = prefall::obsd::MetricsServer::start(
         "127.0.0.1:0",
         Arc::new(prefall::telemetry::Registry::new()),
         prefall::obsd::ServerConfig::default(),
-        None,
-        Some(store),
+        prefall::obsd::Sources {
+            trace: Some(store),
+            ..Default::default()
+        },
     )?;
     println!("  curl {}/trace > trace.json", server.url());
 

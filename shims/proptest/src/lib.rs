@@ -197,7 +197,7 @@ pub mod collection {
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;
 
-    /// Length specification for [`vec`]: an exact size or a half-open range.
+    /// Length specification for [`vec()`]: an exact size or a half-open range.
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         lo: usize,

@@ -79,7 +79,7 @@ fn clean_trials_dump_and_replay_bit_exact() {
     let (mut det, flight) =
         armed_detector_from_bundle(bundle_blob(), 0.5, 1, GuardConfig::default(), roomy()).unwrap();
     for trial in trials() {
-        run_on_trial(&mut det, trial);
+        run_on_trial(&mut det, trial, &NoopRecorder);
     }
     // Every fall trial ends in either a trigger dump or a missed-fall
     // dump, so the recorder cannot be empty.
@@ -114,7 +114,7 @@ fn trigger_dumps_carry_lead_time_and_attribution() {
         armed_detector_from_bundle(bundle_blob(), 0.5, 1, GuardConfig::default(), roomy()).unwrap();
     let mut any_trigger = false;
     for trial in trials() {
-        let outcome = run_on_trial(&mut det, trial);
+        let outcome = run_on_trial(&mut det, trial, &NoopRecorder);
         if let (Some(dump), Some(t)) = (flight.latest(), outcome.triggered_at) {
             if dump.kind == IncidentKind::Trigger {
                 any_trigger = true;
@@ -173,7 +173,7 @@ fn wrapped_rings_refuse_bit_exact_replay() {
     let (mut det, flight) =
         armed_detector_from_bundle(bundle_blob(), 0.5, 1, GuardConfig::default(), tiny).unwrap();
     let trial = &trials()[0];
-    run_on_trial(&mut det, trial);
+    run_on_trial(&mut det, trial, &NoopRecorder);
     let dump = flight.dump_now("operator snapshot");
     assert!(
         dump.truncated,
@@ -188,7 +188,7 @@ fn incident_source_serves_replayable_dumps() {
     let (mut det, flight) =
         armed_detector_from_bundle(bundle_blob(), 0.5, 1, GuardConfig::default(), roomy()).unwrap();
     for trial in trials().iter().filter(|t| t.is_fall()).take(2) {
-        run_on_trial(&mut det, trial);
+        run_on_trial(&mut det, trial, &NoopRecorder);
     }
     let listing = flight.list_json();
     let count = listing.get("count").and_then(|v| v.as_u64()).unwrap();

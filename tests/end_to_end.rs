@@ -12,6 +12,7 @@ use prefall::imu::dataset::Dataset;
 use prefall::mcu::deploy::deploy;
 use prefall::mcu::target::McuTarget;
 use prefall::nn::quant::QuantizedNetwork;
+use prefall::telemetry::NoopRecorder;
 use prefall_core::augment::augment_positives;
 use prefall_dsp::segment::Overlap;
 
@@ -120,7 +121,7 @@ fn streaming_detector_agrees_with_offline_pipeline_on_events() {
         .filter(|tr| t.test_subjects.contains(&tr.subject) && tr.is_fall())
     {
         falls += 1;
-        let outcome = run_on_trial(&mut detector, trial);
+        let outcome = run_on_trial(&mut detector, trial, &NoopRecorder);
         if let Some(at) = outcome.triggered_at {
             triggered += 1;
             // A trigger exists; lead time must be consistent.

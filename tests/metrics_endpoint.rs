@@ -3,7 +3,7 @@
 //! `TcpStream`, exercising the same HTTP path a Prometheus scraper (or
 //! the README's `curl` examples) would take.
 
-use prefall::obsd::{MetricsServer, ServerConfig};
+use prefall::obsd::{MetricsServer, ServerConfig, Sources};
 use prefall::telemetry::{Recorder, Registry};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -46,7 +46,13 @@ fn detector_shaped_registry() -> Arc<Registry> {
 #[test]
 fn metrics_endpoint_round_trip() {
     let reg = detector_shaped_registry();
-    let server = MetricsServer::start("127.0.0.1:0", reg, ServerConfig::default()).expect("server");
+    let server = MetricsServer::start(
+        "127.0.0.1:0",
+        reg,
+        ServerConfig::default(),
+        Sources::default(),
+    )
+    .expect("server");
     let addr = server.addr();
 
     let (status, body) = get(addr, "/metrics");
@@ -73,8 +79,9 @@ fn healthz_reflects_lead_time_budget() {
     let reg = detector_shaped_registry();
     // 3 of 4 recorded lead times ≥ 150 ms; the 0.9 default floor makes
     // that degraded, a 0.5 floor healthy.
-    let degraded =
-        MetricsServer::start("127.0.0.1:0", reg.clone(), ServerConfig::default()).expect("server");
+    let config = ServerConfig::default();
+    let degraded = MetricsServer::start("127.0.0.1:0", reg.clone(), config, Sources::default())
+        .expect("server");
     let (status, body) = get(degraded.addr(), "/healthz");
     assert!(status.contains("503"), "{status}: {body}");
     assert!(body.contains("degraded"));
@@ -86,6 +93,7 @@ fn healthz_reflects_lead_time_budget() {
             min_budget_fraction: 0.5,
             ..ServerConfig::default()
         },
+        Sources::default(),
     )
     .expect("server");
     let (status, body) = get(relaxed.addr(), "/healthz");
@@ -96,7 +104,13 @@ fn healthz_reflects_lead_time_budget() {
 #[test]
 fn snapshot_endpoint_serves_registry_json() {
     let reg = detector_shaped_registry();
-    let server = MetricsServer::start("127.0.0.1:0", reg, ServerConfig::default()).expect("server");
+    let server = MetricsServer::start(
+        "127.0.0.1:0",
+        reg,
+        ServerConfig::default(),
+        Sources::default(),
+    )
+    .expect("server");
     let (status, body) = get(server.addr(), "/snapshot");
     assert!(status.contains("200"));
     let doc = prefall::telemetry::JsonValue::parse(body.trim()).expect("valid JSON");
@@ -111,7 +125,7 @@ fn snapshot_endpoint_serves_registry_json() {
 fn trace_endpoint_serves_a_drained_timeline() {
     // Record a real (tiny) timeline through the public tracing API,
     // drain it to Chrome JSON, and serve it the way `prefall-profile`
-    // does: `LastTrace` attached via `start_full`.
+    // does: `LastTrace` attached as `Sources::trace`.
     prefall::trace::arm(256);
     let span = prefall::trace::intern("e2e.trace_span");
     {
@@ -122,12 +136,15 @@ fn trace_endpoint_serves_a_drained_timeline() {
     assert!(chrome.contains("e2e.trace_span"), "span survives the drain");
 
     let store = Arc::new(prefall::trace::LastTrace::new());
-    let server = MetricsServer::start_full(
+    let sources = Sources {
+        trace: Some(store.clone()),
+        ..Sources::default()
+    };
+    let server = MetricsServer::start(
         "127.0.0.1:0",
         Arc::new(Registry::new()),
         ServerConfig::default(),
-        None,
-        Some(store.clone()),
+        sources,
     )
     .expect("server");
 
@@ -147,7 +164,13 @@ fn trace_endpoint_serves_a_drained_timeline() {
 #[test]
 fn unknown_path_is_404_and_post_is_405() {
     let reg = Arc::new(Registry::new());
-    let server = MetricsServer::start("127.0.0.1:0", reg, ServerConfig::default()).expect("server");
+    let server = MetricsServer::start(
+        "127.0.0.1:0",
+        reg,
+        ServerConfig::default(),
+        Sources::default(),
+    )
+    .expect("server");
     let (status, _) = get(server.addr(), "/nope");
     assert!(status.contains("404"), "{status}");
 

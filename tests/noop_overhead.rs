@@ -119,7 +119,7 @@ fn noop_recorder_push_sample_does_not_allocate() {
     let net = ModelKind::ProposedCnn.build(window, 9, 1).unwrap();
     let mut det = StreamingDetector::new(net, Normalizer::identity(9), cfg).unwrap();
     let flight = FlightRecorder::install(&mut det, Vec::new(), FlightConfig::default());
-    det.reset(); // sync the recorder to the stream start
+    det.session_mut().reset(); // sync the recorder to the stream start
 
     // Warm up: fill the window, classify once (warms the branch-trace
     // buffer), then settle into steady state.

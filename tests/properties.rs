@@ -201,7 +201,7 @@ proptest! {
             }
         }
         // The guard saw every tick; its books must balance.
-        prop_assert_eq!(det.guard_status().samples, samples.len() as u64);
+        prop_assert_eq!(det.session().guard_status().samples, samples.len() as u64);
     }
 
     /// `reset()` fully recovers a detector poisoned by a NaN burst:
@@ -220,7 +220,7 @@ proptest! {
             let x = (i as f32 * 0.37).sin() * 0.05;
             let _ = poisoned.push_sample([x, -x, 1.0 + x], [x, 0.1, -x]);
         }
-        poisoned.reset();
+        poisoned.session_mut().reset();
         for i in 0..120u32 {
             let x = (i as f32 * 0.23).sin() * 0.1;
             let accel = [x, 0.02 - x, 1.0 - x * 0.5];

@@ -46,7 +46,7 @@ fn hardened_detector_survives_the_acceptance_plan() {
     assert!(!falls.is_empty(), "dataset must contain fall trials");
     let registry = Arc::new(Registry::new());
     let mut det = detector(GuardConfig::default());
-    det.set_recorder(registry.clone());
+    det.session_mut().set_recorder(registry.clone());
     let plan = acceptance_plan();
 
     for trial in &falls {
@@ -62,7 +62,7 @@ fn hardened_detector_survives_the_acceptance_plan() {
         None,
         "no non-finite probability may escape the guard"
     );
-    let status = det.guard_status();
+    let status = det.session().guard_status();
     assert!(status.nonfinite > 0, "NaN bursts must have been caught");
     assert!(status.gaps_filled > 0, "dropout must have been bridged");
     assert_eq!(status.engine_rejects, 0, "guard cleans segments upstream");
@@ -171,7 +171,7 @@ fn unhardened_path_fails_the_acceptance_plan() {
     for trial in &falls {
         run_on_faulted_trial(&mut det, trial, &plan, &prefall::telemetry::NoopRecorder);
     }
-    let status = det.guard_status();
+    let status = det.session().guard_status();
     assert_eq!(status.samples, 0, "unguarded ingest counts nothing");
     assert_eq!(status.faults(), 0, "unguarded ingest sees no faults");
 
@@ -182,7 +182,7 @@ fn unhardened_path_fails_the_acceptance_plan() {
     // filled with post-poison rows: they are frozen.
     let mut frozen_probs: Vec<f32> = Vec::new();
     'trials: for trial in &falls {
-        det.reset();
+        det.session_mut().reset();
         let mut poisoned_at: Option<usize> = None;
         let mut probs: Vec<f32> = Vec::new();
         for (i, ev) in plan.stream(trial).enumerate() {
