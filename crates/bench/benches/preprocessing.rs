@@ -7,6 +7,7 @@ use prefall_dsp::butterworth::Butterworth;
 use prefall_dsp::fusion::ComplementaryFilter;
 use prefall_dsp::segment::{Overlap, Segmentation};
 use prefall_imu::dataset::Dataset;
+use prefall_telemetry::NoopRecorder;
 use std::hint::black_box;
 
 fn one_second_channel() -> Vec<f32> {
@@ -57,7 +58,7 @@ fn bench_full_pipeline(c: &mut Criterion) {
     let mut group = c.benchmark_group("pipeline");
     group.sample_size(30);
     group.bench_function("trial_to_segments_400ms", |b| {
-        b.iter(|| black_box(pipeline.segments_for_trial(black_box(&trial))))
+        b.iter(|| black_box(pipeline.segments_for_trial(black_box(&trial), &NoopRecorder)))
     });
     group.finish();
 }

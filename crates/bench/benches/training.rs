@@ -48,6 +48,7 @@ fn bench_one_epoch(c: &mut Criterion) {
                         None,
                         WeightedBce::unweighted(),
                         &cfg,
+                        &prefall_telemetry::NoopRecorder,
                     )
                     .expect("train"),
                 )

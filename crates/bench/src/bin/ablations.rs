@@ -17,6 +17,7 @@ use prefall_core::metrics::TableMetrics;
 use prefall_core::models::ModelKind;
 use prefall_core::pipeline::{Pipeline, PipelineConfig};
 use prefall_imu::dataset::{Dataset, DatasetConfig};
+use prefall_telemetry::NoopRecorder;
 
 struct Row {
     name: &'static str,
@@ -45,7 +46,7 @@ fn main() {
     let mut rows: Vec<Row> = Vec::new();
     let mut run = |name: &'static str, pipeline: &Pipeline, model: ModelKind, cfg: &CvConfig| {
         eprintln!("ablations: {name}...");
-        match run_cv(&dataset, pipeline, model, cfg) {
+        match run_cv(&dataset, pipeline, model, cfg, &NoopRecorder) {
             Ok(out) => rows.push(Row {
                 name,
                 metrics: out.mean,

@@ -19,7 +19,7 @@
 //! ```
 
 use prefall_bench::{paper_edge, telemetry_out};
-use prefall_core::cv::{subject_folds, train_on_sets_recorded, CvConfig};
+use prefall_core::cv::{subject_folds, train_on_sets, CvConfig};
 use prefall_core::detector::{
     lead_time_bounds_ms, run_on_trial, DetectorConfig, StreamingDetector,
 };
@@ -90,7 +90,7 @@ fn main() {
     let test_labels = test_set.y.clone();
     let test_x_raw = test_set.x.clone();
 
-    let (mut net, _preds, _epochs) = train_on_sets_recorded(
+    let (mut net, _preds, _epochs) = train_on_sets(
         &pipeline,
         train_set.clone(),
         val_set,

@@ -28,7 +28,7 @@
 //! ```
 
 use prefall_bench::telemetry_out;
-use prefall_core::cv::{subject_folds, train_on_sets_recorded, CvConfig};
+use prefall_core::cv::{subject_folds, train_on_sets, CvConfig};
 use prefall_core::detector::{
     run_on_trial, DetectorConfig, GuardConfig, StreamingDetector, TrialOutcome,
 };
@@ -92,7 +92,7 @@ fn main() {
     let train_set = full.filter_subjects(&split.train);
     let val_set = full.filter_subjects(&split.val);
     let test_set = full.filter_subjects(&split.test);
-    let (net, _preds, _epochs) = train_on_sets_recorded(
+    let (net, _preds, _epochs) = train_on_sets(
         &pipeline,
         train_set.clone(),
         val_set,

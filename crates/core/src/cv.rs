@@ -18,9 +18,9 @@ use prefall_imu::subject::SubjectId;
 use prefall_nn::loss::{initial_output_bias, WeightedBce};
 use prefall_nn::network::Network;
 use prefall_nn::optim::OptimizerKind;
-use prefall_nn::train::{predict_proba, train_recorded, DataRef, TrainConfig};
+use prefall_nn::train::{predict_proba, train, DataRef, TrainConfig};
 use prefall_par::Pool;
-use prefall_telemetry::{NoopRecorder, Recorder, Span, Value};
+use prefall_telemetry::{Recorder, Span, Value};
 use serde::{Deserialize, Serialize};
 
 /// Cross-validation configuration.
@@ -193,12 +193,24 @@ impl CvOutcome {
 /// epochs run, as returned by [`train_on_sets`].
 pub type TrainedParts = (Network, Vec<(SegmentMeta, f32)>, usize);
 
+/// Applies the training-set augmentation [`train_on_sets`] runs before
+/// it fits the normaliser: `cfg.augment_factor` warped copies of every
+/// falling segment, seeded from `seed` (the seed passed to
+/// [`train_on_sets`]). A deployment flow that re-fits the normaliser
+/// outside [`train_on_sets`] calls this on its training split to get
+/// the same statistics the network was trained under.
+pub fn augment_training_set(set: &mut SegmentSet, cfg: &CvConfig, seed: u64) {
+    augment_positives(set, cfg.augment_factor, seed ^ 0xAA99);
+}
+
 /// Trains one model on pre-split segment sets and returns the trained
 /// network plus test predictions. This is the inner step of
 /// [`run_cv`], exposed for ablations and deployment flows.
 ///
-/// The splits must already be subject-disjoint. Normalisation is fitted
-/// on the (augmented) training set only.
+/// The splits must already be subject-disjoint. The training set is
+/// augmented by [`augment_training_set`] and normalisation is fitted on
+/// the augmented set only. Normalisation timings and per-epoch training
+/// events go to `rec` (see [`Pipeline::normalize`] and [`train`]).
 ///
 /// # Errors
 ///
@@ -206,35 +218,6 @@ pub type TrainedParts = (Network, Vec<(SegmentMeta, f32)>, usize);
 /// when the training set lacks one of the classes.
 #[allow(clippy::too_many_arguments)]
 pub fn train_on_sets(
-    pipeline: &Pipeline,
-    train_set: SegmentSet,
-    val_set: SegmentSet,
-    test_set: SegmentSet,
-    model: ModelKind,
-    cfg: &CvConfig,
-    seed: u64,
-) -> Result<TrainedParts, CoreError> {
-    train_on_sets_recorded(
-        pipeline,
-        train_set,
-        val_set,
-        test_set,
-        model,
-        cfg,
-        seed,
-        &NoopRecorder,
-    )
-}
-
-/// [`train_on_sets`] with telemetry: normalisation timings via
-/// [`Pipeline::normalize_recorded`] and per-epoch training events via
-/// [`train_recorded`].
-///
-/// # Errors
-///
-/// Same as [`train_on_sets`].
-#[allow(clippy::too_many_arguments)]
-pub fn train_on_sets_recorded(
     pipeline: &Pipeline,
     mut train_set: SegmentSet,
     mut val_set: SegmentSet,
@@ -244,7 +227,7 @@ pub fn train_on_sets_recorded(
     seed: u64,
     rec: &dyn Recorder,
 ) -> Result<TrainedParts, CoreError> {
-    augment_positives(&mut train_set, cfg.augment_factor, seed ^ 0xAA99);
+    augment_training_set(&mut train_set, cfg, seed);
     let n_pos = train_set.positives();
     let n_neg = train_set.len() - n_pos;
     if n_pos == 0 || n_neg == 0 {
@@ -254,9 +237,9 @@ pub fn train_on_sets_recorded(
     }
 
     let norm = pipeline.fit_normalizer(&train_set);
-    pipeline.normalize_recorded(&mut train_set, &norm, rec);
-    pipeline.normalize_recorded(&mut val_set, &norm, rec);
-    pipeline.normalize_recorded(&mut test_set, &norm, rec);
+    pipeline.normalize(&mut train_set, &norm, rec);
+    pipeline.normalize(&mut val_set, &norm, rec);
+    pipeline.normalize(&mut test_set, &norm, rec);
 
     let mut net = model.build(train_set.window, train_set.channels, seed)?;
     if cfg.bias_init {
@@ -277,7 +260,7 @@ pub fn train_on_sets_recorded(
         seed,
     };
     let val = (!val_set.is_empty()).then(|| DataRef::new(&val_set.x, &val_set.y));
-    let report = train_recorded(
+    let report = train(
         &mut net,
         DataRef::new(&train_set.x, &train_set.y),
         val,
@@ -291,7 +274,16 @@ pub fn train_on_sets_recorded(
     Ok((net, predictions, report.epochs_run))
 }
 
+// The `benchmark/` package imports `train_on_sets` by this name.
+#[doc(hidden)]
+pub use self::train_on_sets as train_on_sets_recorded;
+
 /// Runs the full subject-independent k-fold protocol for one model.
+///
+/// Telemetry goes to `rec`: segmentation counters and stage timings,
+/// per-epoch training events, a `cv.fold_seconds` timing plus a
+/// `cv.fold` event (macro F1, epochs run) per fold, and a `cv.folds`
+/// counter.
 ///
 /// # Errors
 ///
@@ -302,30 +294,13 @@ pub fn run_cv(
     pipeline: &Pipeline,
     model: ModelKind,
     cfg: &CvConfig,
-) -> Result<CvOutcome, CoreError> {
-    run_cv_recorded(dataset, pipeline, model, cfg, &NoopRecorder)
-}
-
-/// [`run_cv`] with telemetry: segmentation counters and stage timings,
-/// per-epoch training events, a `cv.fold_seconds` timing plus a
-/// `cv.fold` event (macro F1, epochs run) per fold, and a `cv.folds`
-/// counter.
-///
-/// # Errors
-///
-/// Same as [`run_cv`].
-pub fn run_cv_recorded(
-    dataset: &Dataset,
-    pipeline: &Pipeline,
-    model: ModelKind,
-    cfg: &CvConfig,
     rec: &dyn Recorder,
 ) -> Result<CvOutcome, CoreError> {
     let full = pipeline.segment_set_recorded(dataset.trials(), rec);
     run_cv_with_segments(dataset, pipeline, &full, model, cfg, rec)
 }
 
-/// [`run_cv_recorded`] over an already-segmented dataset. The
+/// [`run_cv`] over an already-segmented dataset. The
 /// preprocessing cache ([`crate::cache::SegmentCache`]) hands sweep
 /// cells a shared segment set; this entry point runs the folds without
 /// re-filtering and re-windowing the trials. `full` must be the
@@ -361,7 +336,7 @@ pub fn run_cv_with_segments(
         let test_set = full.filter_subjects(&split.test);
         let test_labels: Vec<f32> = test_set.y.clone();
 
-        let (_, predictions, epochs_run) = train_on_sets_recorded(
+        let (_, predictions, epochs_run) = train_on_sets(
             pipeline,
             train_set,
             val_set,
@@ -418,6 +393,7 @@ mod tests {
     use super::*;
     use crate::pipeline::PipelineConfig;
     use prefall_dsp::segment::Overlap;
+    use prefall_telemetry::NoopRecorder;
 
     fn ids(n: usize) -> Vec<SubjectId> {
         (0..n as u16).map(SubjectId).collect()
@@ -480,7 +456,14 @@ mod tests {
         let pipeline = Pipeline::new(PipelineConfig::paper(200.0, Overlap::Half)).unwrap();
         let mut cfg = CvConfig::fast();
         cfg.epochs = 6;
-        let out = run_cv(&dataset, &pipeline, ModelKind::ProposedCnn, &cfg).unwrap();
+        let out = run_cv(
+            &dataset,
+            &pipeline,
+            ModelKind::ProposedCnn,
+            &cfg,
+            &NoopRecorder,
+        )
+        .unwrap();
         assert_eq!(out.folds.len(), 2);
         // Every test segment got a probability.
         assert!(!out.all_predictions().is_empty());

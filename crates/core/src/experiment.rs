@@ -242,27 +242,13 @@ impl Experiment {
         Ok(Dataset::generate(&self.config.dataset)?)
     }
 
-    /// Runs one grid cell on a pre-generated dataset.
+    /// Runs one grid cell on a pre-generated dataset, with telemetry
+    /// threaded through the pipeline, CV protocol and training loop.
     ///
     /// # Errors
     ///
     /// Propagates pipeline and CV errors.
     pub fn run_cell(
-        &self,
-        dataset: &Dataset,
-        model: ModelKind,
-        window_ms: f64,
-    ) -> Result<CellResult, CoreError> {
-        self.run_cell_recorded(dataset, model, window_ms, &prefall_telemetry::NoopRecorder)
-    }
-
-    /// [`Experiment::run_cell`] with full telemetry threaded through the
-    /// pipeline, CV protocol and training loop.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Experiment::run_cell`].
-    pub fn run_cell_recorded(
         &self,
         dataset: &Dataset,
         model: ModelKind,
@@ -346,7 +332,7 @@ impl Experiment {
                         ("window_ms", Value::from(window_ms)),
                     ],
                 );
-                let cell = self.run_cell_recorded(&dataset, model, window_ms, rec)?;
+                let cell = self.run_cell(&dataset, model, window_ms, rec)?;
                 rec.event(
                     "experiment.cell_done",
                     &[

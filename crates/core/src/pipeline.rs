@@ -187,12 +187,7 @@ impl Pipeline {
     }
 
     /// Causally low-pass-filters all nine channels of a trial (what the
-    /// firmware does sample by sample).
-    pub fn filter_trial(&self, trial: &Trial) -> Vec<Vec<f32>> {
-        self.filter_trial_recorded(trial, &NoopRecorder)
-    }
-
-    /// [`Pipeline::filter_trial`] with the stage timed into the
+    /// firmware does sample by sample), timing the stage into the
     /// `pipeline.filter_seconds` histogram.
     ///
     /// Guards the offline boundary the way the streaming
@@ -201,7 +196,7 @@ impl Pipeline {
     /// for the rest of the channel, so each is replaced by the previous
     /// finite value (hold-last; 0.0 at the channel head) and counted in
     /// `pipeline.nonfinite_inputs`.
-    pub fn filter_trial_recorded(&self, trial: &Trial, rec: &dyn Recorder) -> Vec<Vec<f32>> {
+    pub fn filter_trial(&self, trial: &Trial, rec: &dyn Recorder) -> Vec<Vec<f32>> {
         let _span = Span::enter(rec, "pipeline.filter_seconds");
         let mut nonfinite: u64 = 0;
         let filtered = trial
@@ -268,20 +263,15 @@ impl Pipeline {
 
     /// Extracts labelled segments from one trial (after filtering).
     /// `Discard` windows are *included* here (callers that train filter
-    /// them out via [`Pipeline::segment_set`]).
-    pub fn segments_for_trial(&self, trial: &Trial) -> (Vec<Vec<f32>>, Vec<SegmentMeta>) {
-        self.segments_for_trial_recorded(trial, &NoopRecorder)
-    }
-
-    /// [`Pipeline::segments_for_trial`] with per-stage timings: the
-    /// filter lands in `pipeline.filter_seconds`, windowing + labelling
-    /// in `pipeline.segment_seconds`.
-    pub fn segments_for_trial_recorded(
+    /// them out via [`Pipeline::segment_set`]). The filter is timed into
+    /// `pipeline.filter_seconds`, windowing + labelling into
+    /// `pipeline.segment_seconds`.
+    pub fn segments_for_trial(
         &self,
         trial: &Trial,
         rec: &dyn Recorder,
     ) -> (Vec<Vec<f32>>, Vec<SegmentMeta>) {
-        let filtered = self.filter_trial_recorded(trial, rec);
+        let filtered = self.filter_trial(trial, rec);
         let _span = Span::enter(rec, "pipeline.segment_seconds");
         let seg = &self.config.segmentation;
         let xs = seg.extract(&filtered);
@@ -306,7 +296,7 @@ impl Pipeline {
     }
 
     /// [`Pipeline::segment_set`] with telemetry: stage timings via
-    /// [`Pipeline::segments_for_trial_recorded`] plus the
+    /// [`Pipeline::segments_for_trial`] plus the
     /// `pipeline.segments_adl` / `pipeline.segments_falling` /
     /// `pipeline.segments_discarded` counters.
     pub fn segment_set_recorded(&self, trials: &[Trial], rec: &dyn Recorder) -> SegmentSet {
@@ -315,7 +305,7 @@ impl Pipeline {
         let mut meta = Vec::new();
         let (mut n_adl, mut n_fall, mut n_discard) = (0u64, 0u64, 0u64);
         for trial in trials {
-            let (xs, metas) = self.segments_for_trial_recorded(trial, rec);
+            let (xs, metas) = self.segments_for_trial(trial, rec);
             for (xi, mi) in xs.into_iter().zip(metas) {
                 match mi.label {
                     SegmentLabel::Adl => {
@@ -357,14 +347,9 @@ impl Pipeline {
         }
     }
 
-    /// Applies a fitted normaliser to a segment set in place.
-    pub fn normalize(&self, set: &mut SegmentSet, norm: &Normalizer) {
-        self.normalize_recorded(set, norm, &NoopRecorder);
-    }
-
-    /// [`Pipeline::normalize`] with the stage timed into the
-    /// `pipeline.normalize_seconds` histogram.
-    pub fn normalize_recorded(&self, set: &mut SegmentSet, norm: &Normalizer, rec: &dyn Recorder) {
+    /// Applies a fitted normaliser to a segment set in place, timing the
+    /// stage into the `pipeline.normalize_seconds` histogram.
+    pub fn normalize(&self, set: &mut SegmentSet, norm: &Normalizer, rec: &dyn Recorder) {
         let _span = Span::enter(rec, "pipeline.normalize_seconds");
         for x in &mut set.x {
             norm.apply_in_place(x);
@@ -403,7 +388,7 @@ mod tests {
         let ds = dataset();
         let trial = &ds.trials()[0];
         let p = Pipeline::new(PipelineConfig::paper_400ms()).unwrap();
-        let filtered = p.filter_trial(trial);
+        let filtered = p.filter_trial(trial, &NoopRecorder);
         assert_eq!(filtered.len(), 9);
         assert_eq!(filtered[0].len(), trial.len());
         // High-frequency energy reduced: compare sample-to-sample diffs.
@@ -420,7 +405,7 @@ mod tests {
         let p = Pipeline::new(PipelineConfig::paper_400ms()).unwrap();
         let mut saw_fall = false;
         for trial in ds.trials().iter().filter(|t| t.is_fall()) {
-            let (_, metas) = p.segments_for_trial(trial);
+            let (_, metas) = p.segments_for_trial(trial, &NoopRecorder);
             let usable_end = trial.impact().unwrap() - prefall_imu::AIRBAG_INFLATION_SAMPLES;
             for m in &metas {
                 if m.label == SegmentLabel::Falling {
@@ -445,7 +430,7 @@ mod tests {
         let trial = ds.trials().iter().find(|t| t.is_fall()).unwrap();
         let im = trial.impact().unwrap();
         let usable_end = im - prefall_imu::AIRBAG_INFLATION_SAMPLES;
-        let (_, metas) = p.segments_for_trial(trial);
+        let (_, metas) = p.segments_for_trial(trial, &NoopRecorder);
         for m in &metas {
             let end = m.start + p.window();
             // Any window containing the last-150ms zone must not be Falling.
@@ -460,7 +445,7 @@ mod tests {
         let ds = dataset();
         let p = Pipeline::new(PipelineConfig::paper_400ms()).unwrap();
         for trial in ds.trials().iter().filter(|t| !t.is_fall()) {
-            let (_, metas) = p.segments_for_trial(trial);
+            let (_, metas) = p.segments_for_trial(trial, &NoopRecorder);
             assert!(metas.iter().all(|m| m.label == SegmentLabel::Adl));
         }
     }
@@ -498,7 +483,7 @@ mod tests {
         let p = Pipeline::new(PipelineConfig::paper_400ms()).unwrap();
         let mut set = p.segment_set(ds.trials());
         let norm = p.fit_normalizer(&set);
-        p.normalize(&mut set, &norm);
+        p.normalize(&mut set, &norm, &NoopRecorder);
         // Channel 0 mean over all rows ≈ 0.
         let mut sum = 0.0f64;
         let mut n = 0usize;
@@ -533,7 +518,7 @@ mod tests {
         )
         .unwrap();
         let p = Pipeline::new(PipelineConfig::paper_400ms()).unwrap();
-        let filtered = p.filter_trial(&trial);
+        let filtered = p.filter_trial(&trial, &NoopRecorder);
         assert_eq!(filtered[0].len(), clean_len);
         for ch in &filtered {
             assert!(

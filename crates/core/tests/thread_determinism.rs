@@ -6,7 +6,8 @@
 //! seeded tasks, index-ordered collection, per-sample gradient slots).
 
 use prefall_core::experiment::{Experiment, ExperimentConfig};
-use prefall_telemetry::NoopRecorder;
+use prefall_core::models::ModelKind;
+use prefall_telemetry::{NoopRecorder, Registry};
 
 #[test]
 fn experiment_report_is_bit_identical_for_any_thread_count() {
@@ -83,4 +84,43 @@ fn explicit_thread_override_does_not_change_results() {
     config.threads = None;
     let default = Experiment::new(config).run_recorded(&NoopRecorder).unwrap();
     assert_eq!(overridden, default);
+}
+
+#[test]
+fn recording_never_changes_the_report_and_emits_every_stage_metric() {
+    let mut config = ExperimentConfig::fast();
+    config.cv.epochs = 2;
+    // Two models over two windows: each window's segment set is built
+    // once and then hit, so the cache counters both appear.
+    config.models = vec![ModelKind::Mlp, ModelKind::ProposedCnn];
+    config.windows_ms = vec![200.0, 300.0];
+
+    let quiet = Experiment::new(config.clone())
+        .run_recorded(&NoopRecorder)
+        .unwrap();
+    let registry = Registry::new();
+    let recorded = Experiment::new(config).run_recorded(&registry).unwrap();
+    assert_eq!(quiet, recorded, "recording changed the report");
+
+    // The grid benchmark reads these by name and takes a missing one as
+    // 0, so a stage that stops receiving the recorder would go unseen.
+    let snap = registry.snapshot();
+    for histogram in [
+        "pipeline.filter_seconds",
+        "pipeline.segment_seconds",
+        "pipeline.normalize_seconds",
+        "train.epoch_seconds",
+        "cv.fold_seconds",
+    ] {
+        assert!(
+            snap.histograms.get(histogram).is_some_and(|h| h.count > 0),
+            "histogram {histogram} missing"
+        );
+    }
+    for counter in ["cv.folds", "cache.hits", "cache.misses"] {
+        assert!(
+            snap.counters.get(counter).is_some_and(|&c| c > 0),
+            "counter {counter} missing"
+        );
+    }
 }

@@ -27,6 +27,11 @@
 //!           if sample: ax ay az gx gy gz (6 × f32) }
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
+)]
+
 use prefall_telemetry::wire::{Reader, Writer};
 use prefall_telemetry::JsonValue;
 

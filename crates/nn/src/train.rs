@@ -12,7 +12,7 @@ use crate::optim::{Optimizer, OptimizerKind};
 use crate::workspace::Workspace;
 use crate::NnError;
 use prefall_par::Pool;
-use prefall_telemetry::{NoopRecorder, Recorder, Span, Value};
+use prefall_telemetry::{Recorder, Span, Value};
 use serde::{Deserialize, Serialize};
 use std::sync::{Mutex, MutexGuard};
 
@@ -312,7 +312,11 @@ fn shuffle_indices(n: usize, seed: u64) -> Vec<usize> {
 ///
 /// Returns the epoch history; on completion the network holds the
 /// best-validation-loss weights (when early stopping is enabled) or the
-/// final weights otherwise.
+/// final weights otherwise. Telemetry goes to `rec`: per-epoch
+/// `train.epoch` events (loss, validation loss), `train.epoch_seconds`
+/// timings, a `train.epochs` counter, the `train.learning_rate` /
+/// `train.params` gauges, and a `train.early_stop` event when patience
+/// fires.
 ///
 /// # Errors
 ///
@@ -320,24 +324,6 @@ fn shuffle_indices(n: usize, seed: u64) -> Vec<usize> {
 /// batch size or zero epochs, and [`NnError::ShapeMismatch`] when sample
 /// lengths do not match the network input.
 pub fn train(
-    net: &mut Network,
-    train_data: DataRef<'_>,
-    val_data: Option<DataRef<'_>>,
-    loss: WeightedBce,
-    config: &TrainConfig,
-) -> Result<TrainReport, NnError> {
-    train_recorded(net, train_data, val_data, loss, config, &NoopRecorder)
-}
-
-/// [`train`] with telemetry: per-epoch `train.epoch` events (loss,
-/// validation loss), `train.epoch_seconds` timings, a `train.epochs`
-/// counter, the `train.learning_rate` / `train.params` gauges, and a
-/// `train.early_stop` event when patience fires.
-///
-/// # Errors
-///
-/// Same as [`train`].
-pub fn train_recorded(
     net: &mut Network,
     train_data: DataRef<'_>,
     val_data: Option<DataRef<'_>>,
@@ -623,6 +609,7 @@ pub fn predict_proba(net: &mut Network, xs: &[Vec<f32>]) -> Vec<f32> {
 mod tests {
     use super::*;
     use crate::network::Network;
+    use prefall_telemetry::NoopRecorder;
 
     /// A linearly separable toy problem: y = 1 iff x0 + x1 > 0.
     fn toy_data(n: usize, seed: u64) -> (Vec<Vec<f32>>, Vec<f32>) {
@@ -642,6 +629,24 @@ mod tests {
             ys.push(if a + b > 0.0 { 1.0 } else { 0.0 });
         }
         (xs, ys)
+    }
+
+    /// Unweighted training without validation or telemetry.
+    fn fit(
+        net: &mut Network,
+        xs: &[Vec<f32>],
+        ys: &[f32],
+        cfg: &TrainConfig,
+    ) -> Result<TrainReport, NnError> {
+        let data = DataRef::new(xs, ys);
+        train(
+            net,
+            data,
+            None,
+            WeightedBce::unweighted(),
+            cfg,
+            &NoopRecorder,
+        )
     }
 
     fn accuracy(net: &mut Network, xs: &[Vec<f32>], ys: &[f32]) -> f64 {
@@ -672,14 +677,7 @@ mod tests {
             patience: None,
             seed: 1,
         };
-        let report = train(
-            &mut net,
-            DataRef::new(&xs, &ys),
-            None,
-            WeightedBce::unweighted(),
-            &cfg,
-        )
-        .unwrap();
+        let report = fit(&mut net, &xs, &ys, &cfg).unwrap();
         assert_eq!(report.epochs_run, 30);
         let acc = accuracy(&mut net, &xs, &ys);
         assert!(acc > 0.95, "accuracy {acc}");
@@ -713,6 +711,7 @@ mod tests {
             Some(DataRef::new(&vx, &vy)),
             WeightedBce::unweighted(),
             &cfg,
+            &NoopRecorder,
         )
         .unwrap();
         assert!(report.epochs_run <= 200);
@@ -771,7 +770,15 @@ mod tests {
                 patience: None,
                 seed: 3,
             };
-            train(&mut net, DataRef::new(&xs, &ys), None, loss, &cfg).unwrap();
+            train(
+                &mut net,
+                DataRef::new(&xs, &ys),
+                None,
+                loss,
+                &cfg,
+                &NoopRecorder,
+            )
+            .unwrap();
             // Positive recall.
             let p = predict_proba(&mut net, &xs);
             let tp = p
@@ -792,37 +799,17 @@ mod tests {
         let mut net = Network::builder(vec![2]).dense(1).unwrap().build(1);
         let mut cfg = TrainConfig::paper(1);
         cfg.batch_size = 0;
-        assert!(train(
-            &mut net,
-            DataRef::new(&xs, &ys),
-            None,
-            WeightedBce::unweighted(),
-            &cfg
-        )
-        .is_err());
+        assert!(fit(&mut net, &xs, &ys, &cfg).is_err());
 
         let empty_x: Vec<Vec<f32>> = Vec::new();
         let empty_y: Vec<f32> = Vec::new();
-        assert!(train(
-            &mut net,
-            DataRef::new(&empty_x, &empty_y),
-            None,
-            WeightedBce::unweighted(),
-            &TrainConfig::paper(1)
-        )
-        .is_err());
+        assert!(fit(&mut net, &empty_x, &empty_y, &TrainConfig::paper(1)).is_err());
 
         // Wrong sample width.
         let bad_x = vec![vec![0.0; 3]];
         let bad_y = vec![0.0];
         assert!(matches!(
-            train(
-                &mut net,
-                DataRef::new(&bad_x, &bad_y),
-                None,
-                WeightedBce::unweighted(),
-                &TrainConfig::paper(1)
-            ),
+            fit(&mut net, &bad_x, &bad_y, &TrainConfig::paper(1)),
             Err(NnError::ShapeMismatch { .. })
         ));
     }
@@ -839,18 +826,12 @@ mod tests {
                 .dense(1)
                 .unwrap()
                 .build(11);
-            train(
-                &mut net,
-                DataRef::new(&xs, &ys),
-                None,
-                WeightedBce::unweighted(),
-                &cfg,
-            )
-            .unwrap()
-            .history
-            .last()
-            .unwrap()
-            .train_loss
+            fit(&mut net, &xs, &ys, &cfg)
+                .unwrap()
+                .history
+                .last()
+                .unwrap()
+                .train_loss
         };
         assert_eq!(run(), run());
     }
@@ -875,14 +856,7 @@ mod tests {
                 .dense(1)
                 .unwrap()
                 .build(13);
-            train(
-                &mut net,
-                DataRef::new(&xs, &ys),
-                None,
-                WeightedBce::unweighted(),
-                &cfg,
-            )
-            .unwrap();
+            fit(&mut net, &xs, &ys, &cfg).unwrap();
             std::env::remove_var(prefall_par::THREADS_ENV);
             let mut bits = Vec::new();
             net.visit_params(&mut |p| bits.extend(p.w.iter().map(|w| w.to_bits())));

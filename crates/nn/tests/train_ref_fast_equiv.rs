@@ -107,6 +107,7 @@ fn run(mut net: Network, xs: &[Vec<f32>], ys: &[f32], reference: bool) -> (Vec<u
             ys.iter().filter(|&&y| y <= 0.5).count().max(1),
         ),
         &cfg,
+        &prefall_telemetry::NoopRecorder,
     )
     .expect("training succeeds");
     let mut history_bits: Vec<u32> = Vec::new();

@@ -20,7 +20,15 @@
 //!
 //! The dialect is deliberately small: no chunked encoding, no TLS, no
 //! multiline headers. Both servers bind loopback in every shipped
-//! configuration.
+//! configuration. Anything outside it that could desynchronise the
+//! framing of a keep-alive connection is refused rather than guessed
+//! at: an over-long line, a header block without its blank line, a
+//! repeated `Content-Length`.
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
+)]
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -28,7 +36,8 @@ use std::time::Instant;
 
 /// Cap on any single header or request line.
 const MAX_LINE: u64 = 4096;
-/// Cap on the number of header lines drained per request.
+/// Cap on the header block: its blank line must come within this many
+/// lines.
 const MAX_HEADERS: usize = 64;
 
 /// One parsed request: the start line, the two headers the servers
@@ -66,6 +75,27 @@ fn arm_read(stream: &TcpStream, deadline: Instant) -> io::Result<()> {
     stream.set_read_timeout(Some(remaining))
 }
 
+fn invalid(msg: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
+}
+
+/// Reads one line of at most `MAX_LINE` bytes into `line` under the
+/// deadline. A line that fills the cap without its newline is refused:
+/// splitting it would serve the rest as a fresh header or request.
+fn read_line(
+    reader: &mut BufReader<TcpStream>,
+    deadline: Instant,
+    line: &mut String,
+) -> io::Result<usize> {
+    arm_read(reader.get_ref(), deadline)?;
+    line.clear();
+    let n = reader.by_ref().take(MAX_LINE).read_line(line)?;
+    if n as u64 == MAX_LINE && !line.ends_with('\n') {
+        return Err(invalid("line exceeds cap"));
+    }
+    Ok(n)
+}
+
 /// Reads and parses one HTTP request, enforcing `deadline` on every
 /// blocking read. Returns `Ok(None)` on a clean end-of-stream before
 /// any bytes (the peer closed an idle keep-alive connection).
@@ -77,22 +107,20 @@ fn arm_read(stream: &TcpStream, deadline: Instant) -> io::Result<()> {
 ///
 /// * [`io::ErrorKind::TimedOut`] / `WouldBlock` when the deadline cuts
 ///   a read short (see [`is_timeout`]);
-/// * [`io::ErrorKind::InvalidData`] for malformed framing or a body
-///   larger than `max_body` — callers should answer 400/413 and close;
-/// * any underlying socket error.
+/// * [`io::ErrorKind::InvalidData`] for malformed framing — a line of
+///   `MAX_LINE` bytes without a newline, no blank line within
+///   `MAX_HEADERS` header lines, a repeated or unparsable
+///   `Content-Length` — or a body larger than `max_body`; callers
+///   should answer 400/413 and close;
+/// * any underlying socket error, including `UnexpectedEof` when the
+///   peer closes before the announced body arrives.
 pub fn read_request(
     reader: &mut BufReader<TcpStream>,
     deadline: Instant,
     max_body: usize,
 ) -> io::Result<Option<HttpRequest>> {
-    arm_read(reader.get_ref(), deadline)?;
     let mut request_line = String::new();
-    if reader
-        .by_ref()
-        .take(MAX_LINE)
-        .read_line(&mut request_line)?
-        == 0
-    {
+    if read_line(reader, deadline, &mut request_line)? == 0 {
         return Ok(None);
     }
     let mut parts = request_line.split_whitespace();
@@ -100,32 +128,28 @@ pub fn read_request(
     let path = parts.next().unwrap_or("").to_string();
     let version = parts.next().unwrap_or("HTTP/1.1");
     if method.is_empty() || path.is_empty() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "malformed request line",
-        ));
+        return Err(invalid("malformed request line"));
     }
 
     let mut keep_alive = version != "HTTP/1.0";
-    let mut content_length = 0usize;
+    let mut content_length: Option<usize> = None;
     let mut header = String::new();
-    for _ in 0..MAX_HEADERS {
-        arm_read(reader.get_ref(), deadline)?;
-        header.clear();
-        if reader.by_ref().take(MAX_LINE).read_line(&mut header)? == 0
-            || header == "\r\n"
-            || header == "\n"
-        {
+    for lines in 1.. {
+        if read_line(reader, deadline, &mut header)? == 0 || header == "\r\n" || header == "\n" {
             break;
+        }
+        if lines == MAX_HEADERS {
+            return Err(invalid("header block exceeds cap"));
         }
         let Some((name, value)) = header.split_once(':') else {
             continue;
         };
         let value = value.trim();
         if name.eq_ignore_ascii_case("content-length") {
-            content_length = value
-                .parse()
-                .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "bad content-length"))?;
+            if content_length.is_some() {
+                return Err(invalid("repeated content-length"));
+            }
+            content_length = Some(value.parse().map_err(|_| invalid("bad content-length"))?);
         } else if name.eq_ignore_ascii_case("connection") {
             if value.eq_ignore_ascii_case("close") {
                 keep_alive = false;
@@ -135,11 +159,9 @@ pub fn read_request(
         }
     }
 
+    let content_length = content_length.unwrap_or(0);
     if content_length > max_body {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "request body exceeds cap",
-        ));
+        return Err(invalid("request body exceeds cap"));
     }
     let mut body = vec![0u8; content_length];
     if content_length > 0 {
@@ -293,6 +315,54 @@ mod tests {
         let mut reader = BufReader::new(server);
         let err = read_request(&mut reader, Instant::now() + Duration::from_secs(1), 1024)
             .expect_err("must refuse");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// Reads one request off `wire` written whole and closed.
+    fn parse_one(wire: &[u8]) -> io::Result<Option<HttpRequest>> {
+        let (mut client, server) = pair();
+        client.write_all(wire).unwrap();
+        client.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut reader = BufReader::new(server);
+        read_request(&mut reader, Instant::now() + Duration::from_secs(1), 1024)
+    }
+
+    #[test]
+    fn over_long_header_lines_are_refused_not_split() {
+        // The cap falls inside the `X-Pad` value; a split line would
+        // obey the `Content-Length` smuggled in after it.
+        let pad = "a".repeat(MAX_LINE as usize - "X-Pad: ".len());
+        let wire = format!("POST /ingest HTTP/1.1\r\nX-Pad: {pad}Content-Length: 5\r\n\r\nhello");
+        let err = parse_one(wire.as_bytes()).expect_err("must refuse");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let long_target = format!("GET /{} HTTP/1.1\r\n\r\n", "p".repeat(MAX_LINE as usize));
+        let err = parse_one(long_target.as_bytes()).expect_err("must refuse");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn header_floods_are_refused_not_served_as_the_next_request() {
+        let mut wire = String::from("GET /a HTTP/1.1\r\n");
+        for i in 0..MAX_HEADERS {
+            wire.push_str(&format!("X-{i}: v\r\n"));
+        }
+        wire.push_str("GET /smuggled HTTP/1.1\r\n\r\n");
+        let err = parse_one(wire.as_bytes()).expect_err("must refuse");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+
+        // One header short of the cap still parses.
+        let mut wire = String::from("GET /a HTTP/1.1\r\n");
+        for i in 0..MAX_HEADERS - 1 {
+            wire.push_str(&format!("X-{i}: v\r\n"));
+        }
+        wire.push_str("\r\n");
+        assert_eq!(parse_one(wire.as_bytes()).unwrap().unwrap().path, "/a");
+    }
+
+    #[test]
+    fn repeated_content_length_is_refused() {
+        let wire = b"POST /ingest HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 0\r\n\r\nhello";
+        let err = parse_one(wire).expect_err("must refuse");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 

@@ -172,9 +172,10 @@ pub fn noop() -> Arc<dyn Recorder> {
     Arc::clone(NOOP.get_or_init(|| Arc::new(NoopRecorder)))
 }
 
-/// An RAII wall-clock timing scope. Created by [`Span::enter`] (or the
-/// [`span!`] macro); on drop it records the elapsed seconds into the
-/// recorder's histogram under the span's name.
+/// An RAII wall-clock timing scope. Created by [`Span::enter`]; on drop
+/// it records the elapsed seconds into the recorder's histogram under
+/// the span's name. `prefall_trace::trace_span!` is the other span: it
+/// writes to the process-global timeline, not to a recorder.
 ///
 /// When the recorder is disabled the span holds no start time — the
 /// clock is never read on the disabled path.
@@ -205,14 +206,6 @@ impl Drop for Span<'_> {
             self.rec.observe(self.name, start.elapsed().as_secs_f64());
         }
     }
-}
-
-/// Opens a [`Span`] on a recorder: `let _guard = span!(rec, "stage");`.
-#[macro_export]
-macro_rules! span {
-    ($rec:expr, $name:expr) => {
-        $crate::Span::enter($rec, $name)
-    };
 }
 
 /// A recorder that prints events as human-readable progress lines on
@@ -338,7 +331,7 @@ mod tests {
     fn enabled_span_records_elapsed() {
         let reg = Registry::new();
         {
-            let _g = span!(&reg, "work");
+            let _g = Span::enter(&reg, "work");
             std::hint::black_box(1 + 1);
         }
         let snap = reg.snapshot();

@@ -9,7 +9,7 @@
 //! ```
 
 use prefall::blackbox::{armed_detector_from_bundle, replay, FlightConfig, IncidentKind};
-use prefall::core::cv::{subject_folds, train_on_sets, CvConfig};
+use prefall::core::cv::{augment_training_set, subject_folds, train_on_sets, CvConfig};
 use prefall::core::detector::run_on_trial;
 use prefall::core::models::ModelKind;
 use prefall::core::persist::DetectorBundle;
@@ -17,7 +17,6 @@ use prefall::core::pipeline::{Pipeline, PipelineConfig};
 use prefall::imu::dataset::{Dataset, DatasetConfig};
 use prefall::nn::network::BranchStat;
 use prefall::telemetry::NoopRecorder;
-use prefall_core::augment::augment_positives;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Data and pipeline (200 ms windows keep the example fast while
@@ -50,11 +49,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ModelKind::ProposedCnn,
         &cfg,
         31,
+        &NoopRecorder,
     )?;
 
     // The streaming detector needs the same normaliser used in training.
     let mut train_set = full.filter_subjects(&split.train);
-    augment_positives(&mut train_set, cfg.augment_factor, 31 ^ 0xAA99);
+    augment_training_set(&mut train_set, &cfg, 31);
     let norm = pipeline.fit_normalizer(&train_set);
 
     // Bundle the trained detector and deploy it with the flight

@@ -40,6 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ModelKind::ProposedCnn,
         &cfg,
         17,
+        &prefall::telemetry::NoopRecorder,
     )?;
 
     // 2. Post-training int8 quantization, calibrated on training data.

@@ -7,14 +7,13 @@
 //! cargo run --release --example persist_detector
 //! ```
 
-use prefall::core::cv::{subject_folds, train_on_sets, CvConfig};
+use prefall::core::cv::{augment_training_set, subject_folds, train_on_sets, CvConfig};
 use prefall::core::detector::{run_on_trial, DetectorConfig, StreamingDetector};
 use prefall::core::models::ModelKind;
 use prefall::core::persist::DetectorBundle;
 use prefall::core::pipeline::{Pipeline, PipelineConfig};
 use prefall::imu::dataset::Dataset;
 use prefall::telemetry::NoopRecorder;
-use prefall_core::augment::augment_positives;
 use prefall_dsp::segment::Overlap;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -37,9 +36,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ModelKind::ProposedCnn,
         &cfg,
         seed,
+        &NoopRecorder,
     )?;
     let mut aug_train = full.filter_subjects(&split.train);
-    augment_positives(&mut aug_train, cfg.augment_factor, seed ^ 0xAA99);
+    augment_training_set(&mut aug_train, &cfg, seed);
     let normalizer = pipeline.fit_normalizer(&aug_train);
 
     // Persist.

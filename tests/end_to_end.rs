@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: the full paper pipeline from synthetic
 //! acquisition to quantized deployment.
 
-use prefall::core::cv::{subject_folds, train_on_sets, CvConfig};
+use prefall::core::cv::{augment_training_set, subject_folds, train_on_sets, CvConfig};
 use prefall::core::detector::{run_on_trial, DetectorConfig, StreamingDetector};
 use prefall::core::events::EventReport;
 use prefall::core::experiment::{Experiment, ExperimentConfig};
@@ -13,7 +13,6 @@ use prefall::mcu::deploy::deploy;
 use prefall::mcu::target::McuTarget;
 use prefall::nn::quant::QuantizedNetwork;
 use prefall::telemetry::NoopRecorder;
-use prefall_core::augment::augment_positives;
 use prefall_dsp::segment::Overlap;
 
 /// One shared trained artifact for the expensive tests.
@@ -47,11 +46,12 @@ fn train_fixture() -> Trained {
         ModelKind::ProposedCnn,
         &cfg,
         77,
+        &NoopRecorder,
     )
     .expect("training");
 
     let mut aug_train = train_set;
-    augment_positives(&mut aug_train, cfg.augment_factor, 77 ^ 0xAA99);
+    augment_training_set(&mut aug_train, &cfg, 77);
     let normalizer = pipeline.fit_normalizer(&aug_train);
 
     Trained {
@@ -148,7 +148,8 @@ fn quantized_model_deploys_and_matches_float() {
     // Calibrate on normalised training-like data: reuse test segments.
     let full = t.pipeline.segment_set(t.dataset.trials());
     let mut some = full.filter_subjects(&t.test_subjects);
-    t.pipeline.normalize(&mut some, &t.normalizer);
+    t.pipeline
+        .normalize(&mut some, &t.normalizer, &NoopRecorder);
     let calib: Vec<Vec<f32>> = some.x.iter().take(128).cloned().collect();
 
     let qnet = QuantizedNetwork::from_network(&mut net, &calib).expect("quantize");
@@ -198,9 +199,15 @@ fn airbag_budget_ablation_makes_the_task_easier() {
         let pipeline = Pipeline::new(pc).expect("pipeline");
         let mut cfg = CvConfig::fast();
         cfg.epochs = 5;
-        prefall::core::cv::run_cv(&dataset, &pipeline, ModelKind::ProposedCnn, &cfg)
-            .expect("cv")
-            .mean
+        prefall::core::cv::run_cv(
+            &dataset,
+            &pipeline,
+            ModelKind::ProposedCnn,
+            &cfg,
+            &NoopRecorder,
+        )
+        .expect("cv")
+        .mean
     };
     let with_budget = run(15);
     let without = run(0);
