@@ -4,6 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use prefall_core::models::ModelKind;
 use prefall_nn::quant::QuantizedNetwork;
+use prefall_nn::workspace::Workspace;
 use std::hint::black_box;
 
 fn segment(window: usize) -> Vec<f32> {
@@ -51,6 +52,11 @@ fn bench_int8_inference(c: &mut Criterion) {
         let x = segment(window);
         group.bench_function(format!("cnn_{}ms", window * 10), |b| {
             b.iter(|| black_box(q.forward_logit(black_box(&x))))
+        });
+        // The packed engine the detector runs, on a warmed workspace.
+        let mut ws = Workspace::new();
+        group.bench_function(format!("cnn_{}ms_packed", window * 10), |b| {
+            b.iter(|| black_box(q.infer_scalar(black_box(&x), &mut ws)))
         });
     }
     group.finish();

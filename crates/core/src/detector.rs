@@ -445,11 +445,13 @@ pub(crate) fn emit_guard_deltas(rec: &dyn Recorder, before: &GuardStatus, after:
 /// the int8 model actually deployed on the microcontroller.
 ///
 /// Every call scores through `&self` and a caller-owned [`Workspace`]:
-/// float engines run the allocation-free scalar interpreter, quantized
-/// engines score directly, so one engine serves any number of
-/// [`Session`]s at once. The allocating [`Network::forward`] is not on
-/// this path; it stays the test oracle the interpreter is checked
-/// against.
+/// float engines run the allocation-free scalar interpreter
+/// ([`Network::infer_scalar`]), quantized engines the packed int8
+/// engine ([`QuantizedNetwork::infer_scalar`]) on the workspace's int8
+/// buffers, so one engine serves any number of [`Session`]s at once.
+/// The allocating [`Network::forward`] and
+/// [`QuantizedNetwork::predict_proba`] are not on this path; they stay
+/// the test oracles the two engines are checked against bit for bit.
 #[derive(Debug)]
 pub enum Engine {
     /// Float inference (development/evaluation).
@@ -470,8 +472,8 @@ impl Engine {
     /// Validated inference: the sigmoid probability for one
     /// preprocessed segment, or `None` when the segment contains a
     /// non-finite value, the engine produces one, or the architecture
-    /// is one the interpreter cannot run (the LSTM/ConvLSTM baselines,
-    /// which [`ModelBundle::new`] refuses). The input check is the only
+    /// is one the engine cannot run (the LSTM/ConvLSTM baselines and
+    /// multi-output heads, which [`ModelBundle::new`] refuses). The input check is the only
     /// reliable one — see [`Engine::infer_unchecked`] for why the
     /// output side cannot detect a poisoned segment. The hardened
     /// detector maps `None` to probability 0 and counts the reject.
@@ -527,7 +529,7 @@ impl Engine {
                 if let Some(t) = trace {
                     t.clear();
                 }
-                Some(q.predict_proba(segment))
+                q.infer_scalar(segment, ws).map(prefall_nn::loss::sigmoid)
             }
         }
     }

@@ -78,8 +78,9 @@ impl ModelBundle {
     ///
     /// Returns [`CoreError::InvalidConfig`] when the engine input does
     /// not match the configured window, the architecture cannot run on
-    /// the allocation-free `&self` interpreter (the LSTM/ConvLSTM
-    /// baselines), or the filter design fails.
+    /// the allocation-free `&self` engines (the LSTM/ConvLSTM
+    /// baselines, or a head with more than one output), or the filter
+    /// design fails.
     pub fn new(
         engine: impl Into<Engine>,
         normalizer: Normalizer,
@@ -1517,6 +1518,28 @@ mod tests {
                     Err(CoreError::InvalidConfig { .. })
                 ),
                 "{kind:?} detector must be refused"
+            );
+        }
+    }
+
+    #[test]
+    fn multi_output_heads_are_refused_by_both_engines() {
+        use prefall_nn::network::Network;
+        use prefall_nn::quant::QuantizedNetwork;
+        let cfg = config();
+        let len = cfg.pipeline.segmentation.window() * 9;
+        let head = || Network::builder(vec![len]).dense(2).unwrap().build(3);
+        let calib: Vec<Vec<f32>> = (0..4)
+            .map(|k| (0..len).map(|i| ((i + k) as f32 * 0.1).sin()).collect())
+            .collect();
+        let quantized = QuantizedNetwork::from_network(&mut head(), &calib).unwrap();
+        for (name, engine) in [("float", Engine::from(head())), ("int8", quantized.into())] {
+            assert!(
+                matches!(
+                    ModelBundle::new(engine, Normalizer::identity(9), cfg),
+                    Err(CoreError::InvalidConfig { .. })
+                ),
+                "{name} two-output head must be refused"
             );
         }
     }

@@ -15,8 +15,13 @@
 
 use crate::layers::{Conv1d, Dense, Layer, MaxPool1d, Relu, Sigmoid, SplitConcat};
 use crate::network::Network;
+use crate::workspace::Workspace;
 use crate::NnError;
 use serde::{Deserialize, Serialize};
+
+mod pack;
+
+pub(crate) use pack::Int8Buffers;
 
 /// Affine int8 quantization parameters for one activation tensor.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -47,9 +52,12 @@ impl ActQuant {
         Self { scale, zero_point }
     }
 
-    /// Quantizes one real value.
+    /// Quantizes one real value, saturating at the int8 range for any
+    /// input (a NaN maps to the zero point).
     pub fn quantize(&self, x: f32) -> i8 {
-        ((x / self.scale).round() as i32 + self.zero_point).clamp(-128, 127) as i8
+        ((x / self.scale).round() as i32)
+            .saturating_add(self.zero_point)
+            .clamp(-128, 127) as i8
     }
 
     /// Dequantizes one code.
@@ -337,12 +345,23 @@ impl QLayer {
 
 /// A fully int8 network: quantized input, int8 layers, float sigmoid on
 /// the dequantized final logit.
+///
+/// Two engines run it, equal bit for bit: the allocating reference
+/// [`QuantizedNetwork::forward_logit`], which walks the flash-image
+/// layers one `Vec` per layer as the oracle, and the packed
+/// [`QuantizedNetwork::infer_scalar`], which runs a host-side pack
+/// built once by [`QuantizedNetwork::from_network`] through
+/// [`Workspace`] buffers without allocating.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct QuantizedNetwork {
     input_len: usize,
     input_q: ActQuant,
     layers: Vec<QLayer>,
     output_q: ActQuant,
+    /// Derived from `layers`; `None` when the packed engine cannot run
+    /// the network.
+    #[serde(skip)]
+    pack: Option<pack::Pack>,
 }
 
 impl QuantizedNetwork {
@@ -402,12 +421,15 @@ impl QuantizedNetwork {
             i += if fuse_relu { 2 } else { 1 };
         }
 
-        Ok(Self {
+        let mut q = Self {
             input_len,
             input_q,
             layers: qlayers,
             output_q: cur_q,
-        })
+            pack: None,
+        };
+        q.pack = pack::Pack::new(&q);
+        Ok(q)
     }
 
     /// Runs int8 inference on one float sample and returns the
@@ -429,6 +451,27 @@ impl QuantizedNetwork {
     /// Sigmoid probability from int8 inference.
     pub fn predict_proba(&self, x: &[f32]) -> f32 {
         crate::loss::sigmoid(self.forward_logit(x))
+    }
+
+    /// The dequantized logit from the packed engine: bit-identical to
+    /// [`QuantizedNetwork::forward_logit`], and allocation-free once the
+    /// workspace has warmed up.
+    ///
+    /// Returns `None` when the output is not one scalar or a split
+    /// branch holds another split — the layouts the packed engine does
+    /// not run, as [`Network::infer_scalar`] refuses them for float.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the input length mismatches.
+    // Out of line: inlined, the packed engine grows
+    // `Engine::infer_unchecked` past the size LLVM inlines into the
+    // session, and the float engine's windows measured ~8 % slower.
+    #[inline(never)]
+    pub fn infer_scalar(&self, x: &[f32], ws: &mut Workspace) -> Option<f32> {
+        let pack = self.pack.as_ref()?;
+        assert_eq!(x.len(), self.input_len, "quantized input length");
+        Some(self.output_q.dequantize(pack.run(x, ws.int8_buffers())))
     }
 
     /// Flash bytes consumed by weights and biases.
@@ -788,6 +831,21 @@ mod tests {
     }
 
     #[test]
+    fn quantize_saturates_on_huge_inputs() {
+        // zp = 42 for (−2, 1); zp = −43 for (−1, 2).
+        for (lo, hi) in [(-2.0f32, 1.0f32), (-1.0, 2.0)] {
+            let q = ActQuant::from_range(lo, hi);
+            assert_eq!(q.quantize(5.0), 127);
+            assert_eq!(q.quantize(1e30), 127);
+            assert_eq!(q.quantize(f32::MAX), 127);
+            assert_eq!(q.quantize(-1e30), -128);
+            assert_eq!(q.quantize(f32::MIN), -128);
+        }
+        assert_eq!(ActQuant::from_range(-2.0, 1.0).zero_point, 42);
+        assert_eq!(ActQuant::from_range(-1.0, 2.0).zero_point, -43);
+    }
+
+    #[test]
     fn act_quant_clamps_outliers() {
         let q = ActQuant::from_range(0.0, 1.0);
         assert_eq!(q.quantize(100.0), 127);
@@ -904,6 +962,53 @@ mod tests {
         assert!(QuantizedNetwork::from_network(&mut dense_net, &[]).is_err());
         let bad = vec![vec![0.0; 5]];
         assert!(QuantizedNetwork::from_network(&mut dense_net, &bad).is_err());
+    }
+
+    #[test]
+    fn packed_engine_is_bit_identical_to_reference() {
+        let branch = |sel: Vec<usize>| {
+            (
+                sel,
+                Network::builder(vec![40, 3])
+                    .conv1d(18, 5)
+                    .unwrap()
+                    .relu()
+                    .maxpool(2)
+                    .unwrap(),
+            )
+        };
+        let mut net = Network::builder(vec![40, 9])
+            .split(vec![
+                branch(vec![0, 1, 2]),
+                branch(vec![3, 4, 5]),
+                branch(vec![6, 7, 8]),
+            ])
+            .unwrap()
+            .dense(64)
+            .unwrap()
+            .relu()
+            .dense(32)
+            .unwrap()
+            .relu()
+            .dense(1)
+            .unwrap()
+            .build(11);
+        let data = calib(64, 360, 7);
+        let q = QuantizedNetwork::from_network(&mut net, &data).unwrap();
+        let mut ws = Workspace::new();
+        for x in calib(32, 360, 99).iter().chain(&data) {
+            let want = q.forward_logit(x);
+            let got = q.infer_scalar(x, &mut ws).expect("supported");
+            assert_eq!(want.to_bits(), got.to_bits());
+        }
+    }
+
+    #[test]
+    fn packed_engine_refuses_multi_output_heads() {
+        let mut net = Network::builder(vec![6]).dense(2).unwrap().build(4);
+        let data = calib(8, 6, 2);
+        let q = QuantizedNetwork::from_network(&mut net, &data).unwrap();
+        assert!(q.infer_scalar(&data[0], &mut Workspace::new()).is_none());
     }
 
     #[test]

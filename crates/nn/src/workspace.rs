@@ -19,10 +19,18 @@
 //! Architectures the interpreter does not cover (LSTM, ConvLSTM, nested
 //! splits, multi-output heads) return `None`; callers fall back to the
 //! allocating [`Network::forward`].
+//!
+//! The same workspace also holds the int8 activations of
+//! [`QuantizedNetwork::infer_scalar`], the packed integer engine (i16
+//! ping-pong and branch buffers with a few slots of zero padding), so
+//! one workspace serves a float and a quantized engine alike.
+//!
+//! [`QuantizedNetwork::infer_scalar`]: crate::quant::QuantizedNetwork::infer_scalar
 
 use crate::kernels;
 use crate::layers::{Conv1d, Dense, Layer, MaxPool1d, Relu, Sigmoid, SplitConcat};
 use crate::network::{BranchStat, Network};
+use crate::quant::Int8Buffers;
 use std::sync::OnceLock;
 
 /// Interned trace span names for the forward-pass timeline. Initialised
@@ -58,11 +66,15 @@ fn trace_names() -> &'static TraceNames {
     })
 }
 
-/// Reusable scratch buffers for [`Network::infer_scalar`].
+/// Reusable scratch buffers for [`Network::infer_scalar`] and
+/// [`QuantizedNetwork::infer_scalar`]: f32 buffers for the float
+/// interpreter, i16 buffers for the packed int8 engine.
 ///
 /// One workspace serves any number of networks; buffers grow to the
 /// largest activation seen and keep their capacity. Not `Sync` — give
 /// each thread its own.
+///
+/// [`QuantizedNetwork::infer_scalar`]: crate::quant::QuantizedNetwork::infer_scalar
 #[derive(Debug, Default, Clone)]
 pub struct Workspace {
     buf_a: Vec<f32>,
@@ -70,6 +82,7 @@ pub struct Workspace {
     gather: Vec<f32>,
     branch_a: Vec<f32>,
     branch_b: Vec<f32>,
+    int8: Int8Buffers,
 }
 
 impl Workspace {
@@ -78,8 +91,8 @@ impl Workspace {
         Self::default()
     }
 
-    /// Pre-grows every buffer to hold `len` values, so the first
-    /// inference is allocation-free too.
+    /// Pre-grows every buffer — float and int8 — to hold `len` values,
+    /// so the first inference is allocation-free too.
     pub fn reserve(&mut self, len: usize) {
         for buf in [
             &mut self.buf_a,
@@ -92,6 +105,11 @@ impl Workspace {
                 buf.reserve(len - buf.len());
             }
         }
+        self.int8.reserve(len);
+    }
+
+    pub(crate) fn int8_buffers(&mut self) -> &mut Int8Buffers {
+        &mut self.int8
     }
 }
 
@@ -293,6 +311,7 @@ impl Network {
             gather,
             branch_a,
             branch_b,
+            ..
         } = ws;
         buf_a.clear();
         buf_a.extend_from_slice(input);

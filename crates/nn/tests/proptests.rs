@@ -5,7 +5,43 @@ use prefall_nn::loss::WeightedBce;
 use prefall_nn::network::Network;
 use prefall_nn::quant::QuantizedNetwork;
 use prefall_nn::serialize::{load_weights, save_weights};
+use prefall_nn::workspace::Workspace;
 use proptest::prelude::*;
+use std::cell::RefCell;
+
+thread_local! {
+    /// One workspace for every case and shape, so stale buffer contents
+    /// from a previous (larger or differently shaped) network would show.
+    static WS: RefCell<Workspace> = RefCell::new(Workspace::new());
+}
+
+/// Packed int8 logit bits (via the shared workspace) and reference bits.
+fn packed_and_reference(q: &QuantizedNetwork, x: &[f32]) -> (Option<u32>, u32) {
+    let packed = WS.with(|ws| q.infer_scalar(x, &mut ws.borrow_mut()));
+    (packed.map(f32::to_bits), q.forward_logit(x).to_bits())
+}
+
+/// A conv stack over `[time, ch]`: Conv1d, then an optional ReLU and an
+/// optional max pool (`pool == 1` for none).
+fn conv_stack(
+    time: usize,
+    ch: usize,
+    filters: usize,
+    kernel: usize,
+    relu: bool,
+    pool: usize,
+) -> prefall_nn::network::NetworkBuilder {
+    let mut b = Network::builder(vec![time, ch])
+        .conv1d(filters, kernel)
+        .unwrap();
+    if relu {
+        b = b.relu();
+    }
+    if pool > 1 {
+        b = b.maxpool(pool).unwrap();
+    }
+    b
+}
 
 fn gen_input(len: usize, seed: u64) -> Vec<f32> {
     let mut s = seed | 1;
@@ -118,6 +154,59 @@ proptest! {
             let fl = net.forward(x)[0];
             let ql = q.forward_logit(x);
             prop_assert!((fl - ql).abs() < 0.25, "float {fl} vs int8 {ql}");
+            let (packed, reference) = packed_and_reference(&q, x);
+            prop_assert_eq!(packed, Some(reference));
+        }
+    }
+
+    /// The packed int8 engine equals the reference bit for bit across
+    /// random shapes that hit every tail: filter counts off the row
+    /// block, odd `kernel·channels`, odd conv lengths under pool 2 and
+    /// 3, convs without ReLU or pool, the three-branch split, the
+    /// single-branch conv stack, a dense-only MLP and a pool on the
+    /// raw input — on inputs far
+    /// outside the calibration range as well as inside it.
+    #[test]
+    fn packed_int8_equals_reference(
+        time in 6usize..20,
+        ch in 1usize..4,
+        filters in 1usize..11,
+        kernel in 1usize..6,
+        relu in 0usize..2,
+        pool in 1usize..4,
+        hidden in 1usize..10,
+        scale in 1.0f32..40.0,
+        seed in 0u64..1000,
+    ) {
+        prop_assume!(kernel + pool <= time);
+        let relu = relu == 1;
+        let head = |b: prefall_nn::network::NetworkBuilder| {
+            b.dense(hidden).unwrap().relu().dense(1).unwrap().build(seed)
+        };
+        let split = Network::builder(vec![time, 3 * ch])
+            .split((0..3).map(|i| {
+                ((i * ch..(i + 1) * ch).collect(), conv_stack(time, ch, filters, kernel, relu, pool))
+            }).collect())
+            .unwrap();
+        let single = conv_stack(time, ch, filters, kernel, relu, pool);
+        let mlp = Network::builder(vec![time * ch]);
+        // A pool straight on the input: the one max pool no conv absorbs.
+        let pooled = Network::builder(vec![time, ch]).maxpool(pool.max(2)).unwrap();
+        let layouts = [(split, 3 * ch), (single, ch), (mlp, ch), (pooled, ch)];
+        for (builder, channels) in layouts {
+            let mut net = head(builder);
+            let len = time * channels;
+            let calib: Vec<Vec<f32>> = (0..24).map(|k| gen_input(len, seed ^ (k + 7))).collect();
+            let q = QuantizedNetwork::from_network(&mut net, &calib).unwrap();
+            let mut wide = gen_input(len, seed ^ 0xBEEF);
+            wide.iter_mut().for_each(|v| *v *= scale);
+            let mut extreme = gen_input(len, seed ^ 0xCAFE);
+            extreme[0] = 1e30;
+            extreme[len - 1] = -1e30;
+            for x in calib.iter().take(4).chain([&wide, &extreme]) {
+                let (packed, reference) = packed_and_reference(&q, x);
+                prop_assert_eq!(packed, Some(reference), "{} inputs", len);
+            }
         }
     }
 

@@ -10,10 +10,13 @@ use prefall::blackbox::{
 use prefall::core::detector::{run_on_trial, DetectorConfig, GuardConfig};
 use prefall::core::models::ModelKind;
 use prefall::core::persist::DetectorBundle;
+use prefall::core::pipeline::Pipeline;
+use prefall::core::session::ModelBundle;
 use prefall::dsp::stats::Normalizer;
 use prefall::faults::{run_on_faulted_trial, FaultPlan};
 use prefall::imu::dataset::Dataset;
 use prefall::imu::trial::Trial;
+use prefall::nn::quant::QuantizedNetwork;
 use prefall::obsd::IncidentSource;
 use prefall::telemetry::NoopRecorder;
 use proptest::prelude::*;
@@ -210,6 +213,88 @@ fn incident_source_serves_replayable_dumps() {
     flight.on_health_status(true, &prefall::telemetry::JsonValue::Null);
     assert_eq!(flight.incident_count(), before + 1, "rising edge only");
     assert_eq!(flight.latest().unwrap().kind, IncidentKind::HealthDegraded);
+}
+
+/// The deployed int8 engine, quantized from the golden incident's own
+/// float network and calibrated on the golden stream's own normalised
+/// windows, scores that stream within a fixed bound of the float
+/// engine. The measured deviation and trigger agreement are recorded
+/// in ROADMAP item 2.
+#[test]
+fn golden_incident_int8_scores_track_float() {
+    let dump = IncidentDump::from_bytes(include_bytes!("../ci/golden_incident.pfbb")).unwrap();
+    let bundle = DetectorBundle::from_bytes(&dump.model_blob).unwrap();
+    let config = DetectorConfig {
+        pipeline: bundle.pipeline,
+        threshold: dump.threshold,
+        consecutive: dump.consecutive as usize,
+        guard: dump.guard_config,
+    };
+
+    // Calibration: the recorded stream's windows, through the offline
+    // pipeline (non-finite readings held at the last finite value).
+    let mut channels: Vec<Vec<f32>> = vec![Vec::new(); 9];
+    let mut held = [0.0f32; 6];
+    for s in &dump.samples {
+        for (h, &v) in held.iter_mut().zip(s.accel.iter().chain(&s.gyro)) {
+            if v.is_finite() {
+                *h = v;
+            }
+        }
+        // Euler channels are recomputed from accel and gyro below.
+        for (ch, &v) in channels.iter_mut().zip(held.iter().chain(&[0.0; 3])) {
+            ch.push(v);
+        }
+    }
+    let meta = &trials()[0];
+    let mut stream = Trial::from_channels(
+        meta.subject,
+        meta.task,
+        meta.trial_index,
+        meta.source,
+        channels,
+        None,
+        None,
+    )
+    .unwrap();
+    stream.recompute_euler();
+    let pipeline = Pipeline::new(bundle.pipeline).unwrap();
+    let mut calib = pipeline.segments_for_trial(&stream, &NoopRecorder).0;
+    for w in &mut calib {
+        bundle.normalizer.apply_in_place(w);
+    }
+    let mut net = bundle.network.clone();
+    let qnet = QuantizedNetwork::from_network(&mut net, &calib).unwrap();
+
+    let float = ModelBundle::new(net, bundle.normalizer.clone(), config).unwrap();
+    let int8 = ModelBundle::new(qnet, bundle.normalizer.clone(), config).unwrap();
+    let (mut fs, mut qs) = (float.new_session(), int8.new_session());
+    let (mut windows, mut agree, mut max_dev) = (0, 0, 0.0f32);
+    for s in &dump.samples {
+        let (pf, pq) = if s.missing() {
+            (fs.push_missing(&float), qs.push_missing(&int8))
+        } else {
+            (
+                fs.push_sample(&float, s.accel, s.gyro),
+                qs.push_sample(&int8, s.accel, s.gyro),
+            )
+        };
+        assert_eq!(pf.is_some(), pq.is_some(), "both engines classify each hop");
+        if let (Some(f), Some(q)) = (pf, pq) {
+            windows += 1;
+            max_dev = max_dev.max((f - q).abs());
+            agree += usize::from(fs.trigger_decision() == qs.trigger_decision());
+        }
+    }
+    assert_eq!(windows, dump.windows.len());
+    println!(
+        "golden incident: max |p_int8 - p_float| = {max_dev:.4}, \
+         trigger decisions agree on {agree} of {windows} windows"
+    );
+    assert!(
+        max_dev < 0.02,
+        "int8 deviates from float by {max_dev} ({agree} of {windows} trigger decisions agree)"
+    );
 }
 
 proptest! {

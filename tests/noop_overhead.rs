@@ -4,6 +4,8 @@
 //! and never reads the clock (the span holds no start time). The same
 //! holds with the flight recorder armed: its rings are pre-allocated,
 //! so the per-sample tap path stays allocation-free after warm-up.
+//! Classified windows allocate nothing either, on the float and the
+//! int8 engine alike.
 //!
 //! A counting global allocator makes the claim checkable; the file
 //! holds exactly one test so no concurrent test pollutes the counter.
@@ -15,6 +17,7 @@ use prefall_core::pipeline::PipelineConfig;
 use prefall_drift::{DriftConfig, DriftMonitor, Fingerprint};
 use prefall_dsp::segment::Overlap;
 use prefall_dsp::stats::Normalizer;
+use prefall_nn::quant::QuantizedNetwork;
 use prefall_telemetry::{NoopRecorder, Recorder};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -100,6 +103,47 @@ fn noop_recorder_push_sample_does_not_allocate() {
         after - before,
         0,
         "a classified window on the workspace inference path must not allocate"
+    );
+
+    // The deployed int8 engine holds the same claim: the packed engine
+    // scores through the session's workspace (i16 activations in
+    // reusable buffers), so after one classified window has sized them,
+    // whole hop cycles allocate nothing.
+    let mut net = ModelKind::ProposedCnn.build(window, 9, 1).unwrap();
+    let calib: Vec<Vec<f32>> = (0..16)
+        .map(|k| {
+            (0..window * 9)
+                .map(|i| ((i + 5 * k) as f32 * 0.21).sin() * 1.5)
+                .collect()
+        })
+        .collect();
+    let qnet = QuantizedNetwork::from_network(&mut net, &calib).unwrap();
+    let mut det = StreamingDetector::new(qnet, Normalizer::identity(9), cfg).unwrap();
+    for _ in 0..window {
+        let _ = det.push_sample([0.0, 0.0, 1.0], [0.0, 0.0, 0.0]);
+    }
+    let mut warmed = false;
+    while !warmed {
+        warmed = det
+            .push_sample([0.01, -0.02, 1.0], [0.0, 0.1, 0.0])
+            .is_some();
+    }
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let mut classified = 0;
+    for _ in 0..2 * hop {
+        if det
+            .push_sample([0.01, -0.02, 1.0], [0.0, 0.1, 0.0])
+            .is_some()
+        {
+            classified += 1;
+        }
+    }
+    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    assert_eq!(classified, 2, "two hop cycles classify twice");
+    assert_eq!(
+        after - before,
+        0,
+        "a classified window on the int8 engine must not allocate"
     );
 
     // Same claim with the flight recorder armed: the tap path copies
