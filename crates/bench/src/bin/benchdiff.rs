@@ -3,14 +3,11 @@
 //! ```text
 //! benchdiff <baseline.json> <candidate.json> [options]
 //!
-//!   --latency-pct <P>       latency growth allowed, % (default 200)
-//!   --latency-floor-us <U>  absolute latency slack, µs (default 50)
 //!   --lead-pct <P>          lead-time shrink allowed, % (default 10)
 //!   --lead-floor-ms <M>     absolute lead-time slack, ms (default 5)
 //!   --budget-drop <F>       budget-fraction drop allowed (default 0.05)
-//!   --speedup-pct <P>       speedup shrink allowed, % (default 25)
-//!   --throughput-pct <P>    throughput (`*_per_s`) shrink allowed, %
-//!                           (default 30)
+//!   --speedup-pct <P>       speedup (`*speedup*`) shrink allowed, %
+//!                           (default 25)
 //!   --drift-abs <F>         absolute clean-leg drift PSI growth
 //!                           (`drift.clean_*_psi`) allowed (default 0.05)
 //!   --min-count <N>         observations needed before a histogram
@@ -18,15 +15,18 @@
 //! ```
 //!
 //! Exit codes: 0 clean, 1 regression detected, 2 usage or parse error.
+//!
+//! Wall-clock latency and throughput are not gated here: the repo
+//! benchmark compares them parent against change on one host
+//! (`ci/benchmark_compare.sh`).
 
 use prefall_bench::diff::{diff, BenchSnapshot, Thresholds};
 
 fn usage() -> ! {
     eprintln!(
         "usage: benchdiff <baseline.json> <candidate.json> \
-         [--latency-pct P] [--latency-floor-us U] \
          [--lead-pct P] [--lead-floor-ms M] [--budget-drop F] \
-         [--speedup-pct P] [--throughput-pct P] [--drift-abs F] \
+         [--speedup-pct P] [--drift-abs F] \
          [--min-count N]"
     );
     std::process::exit(2);
@@ -42,17 +42,10 @@ fn parse_args() -> (String, String, Thresholds) {
             None => usage(),
         };
         match arg.as_str() {
-            "--latency-pct" => flag(&mut t.latency_pct),
-            "--latency-floor-us" => {
-                let mut us = 0.0;
-                flag(&mut us);
-                t.latency_floor_s = us * 1e-6;
-            }
             "--lead-pct" => flag(&mut t.lead_pct),
             "--lead-floor-ms" => flag(&mut t.lead_floor_ms),
             "--budget-drop" => flag(&mut t.budget_drop),
             "--speedup-pct" => flag(&mut t.speedup_pct),
-            "--throughput-pct" => flag(&mut t.throughput_pct),
             "--drift-abs" => flag(&mut t.drift_abs),
             "--min-count" => flag(&mut t.min_count),
             "-h" | "--help" => usage(),

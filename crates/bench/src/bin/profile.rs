@@ -1,8 +1,9 @@
 //! Timeline profiler: where does the wall-clock actually go?
 //!
-//! `perf` answers *how fast*; this binary answers *where*. It arms the
-//! `prefall-trace` ring buffers, runs the experiment grid, and folds the
-//! drained timeline into a wall-clock attribution:
+//! The repo benchmark (`benchmark/`) answers *how fast*; this binary
+//! answers *where*. It arms the `prefall-trace` ring buffers, runs the
+//! experiment grid, and folds the drained timeline into a wall-clock
+//! attribution:
 //!
 //! * **% kernel** — time inside task bodies (experiment cells, CV
 //!   folds, cache fills, training compute, forward-pass kernels);
@@ -64,6 +65,9 @@ const INFER_WINDOWS: usize = 64;
 /// sample near-identical machine states and drift cancels.
 const OVERHEAD_WINDOWS: usize = 300;
 
+/// Workers for both grid legs.
+const GRID_THREADS: usize = 4;
+
 /// A reduced grid: enough cells to exercise parallel workers, folds and
 /// the cache, small enough for a CI trace job.
 fn grid_config() -> ExperimentConfig {
@@ -78,11 +82,10 @@ fn grid_config() -> ExperimentConfig {
 
 fn run_grid(
     config: &ExperimentConfig,
-    threads: usize,
     rec: &dyn Recorder,
 ) -> Result<(ExperimentReport, f64), String> {
     let mut cfg = config.clone();
-    cfg.threads = Some(threads);
+    cfg.threads = Some(GRID_THREADS);
     let start = Instant::now();
     let report = Experiment::new(cfg)
         .run_recorded(rec)
@@ -324,10 +327,6 @@ fn real_main() -> Result<(), String> {
     };
     let (registry, rec) = telemetry_out::bench_recorder();
     let config = grid_config();
-    let threads: usize = std::env::var("PREFALL_PERF_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
     let capacity: usize = std::env::var("PREFALL_TRACE_CAPACITY")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -339,11 +338,11 @@ fn real_main() -> Result<(), String> {
         &[
             ("bench", Value::from("trace")),
             ("phase", Value::from("grid_disarmed")),
-            ("threads", Value::from(threads)),
+            ("threads", Value::from(GRID_THREADS)),
         ],
     );
     prefall_trace::disarm();
-    let (report_disarmed, grid_disarmed_s) = run_grid(&config, threads, &NoopRecorder)?;
+    let (report_disarmed, grid_disarmed_s) = run_grid(&config, &NoopRecorder)?;
 
     // Leg B: the same grid armed. Telemetry routes to the real recorder
     // so the dumped snapshot carries the armed leg's par.* accounting.
@@ -355,7 +354,7 @@ fn real_main() -> Result<(), String> {
         ],
     );
     prefall_trace::arm(capacity);
-    let (report_armed, grid_armed_s) = run_grid(&config, threads, rec.as_ref())?;
+    let (report_armed, grid_armed_s) = run_grid(&config, rec.as_ref())?;
     prefall_trace::disarm();
     let grid_timeline: Timeline = prefall_trace::drain();
 
@@ -441,7 +440,7 @@ fn real_main() -> Result<(), String> {
     let snap = registry.snapshot();
     say("=== profile: wall-clock attribution (grid, armed) ===".to_string());
     say(format!(
-        "grid wall    : {grid_disarmed_s:8.2} s disarmed   {grid_armed_s:8.2} s armed   ({} cells, {threads} threads, bit-identical)",
+        "grid wall    : {grid_disarmed_s:8.2} s disarmed   {grid_armed_s:8.2} s armed   ({} cells, {GRID_THREADS} threads, bit-identical)",
         report_armed.cells.len()
     ));
     say(format!(
@@ -528,7 +527,7 @@ fn real_main() -> Result<(), String> {
                 "grid_armed_wall_s".to_string(),
                 JsonValue::F64(grid_armed_s),
             ),
-            ("threads".to_string(), JsonValue::U64(threads as u64)),
+            ("threads".to_string(), JsonValue::U64(GRID_THREADS as u64)),
             (
                 "grid_cells".to_string(),
                 JsonValue::U64(report_armed.cells.len() as u64),

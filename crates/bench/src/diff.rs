@@ -1,21 +1,23 @@
 //! Bench-snapshot regression diffing: the library behind the
-//! `benchdiff` binary and the CI latency gate.
+//! `benchdiff` binary.
 //!
 //! Two `BENCH_telemetry.json` snapshots (a committed baseline and a
 //! fresh candidate) are compared **by summary statistics** — p50, p95,
 //! p99, mean — never by bucket layout, so a baseline recorded with the
 //! coarse default buckets stays comparable after the histogram
-//! resolution changes. Three regression rules apply:
+//! resolution changes. No wall-clock latency or throughput rule
+//! applies: baselines travel between machines, so speed is gated by
+//! the repo benchmark, which runs parent and change on one host. The
+//! rules that remain:
 //!
-//! * **latency** (histograms named `*_seconds`): a quantile that grows
-//!   past the relative threshold *and* the absolute floor fails. The
-//!   default threshold is deliberately generous because CI baselines
-//!   travel between machines.
 //! * **lead time** (`detector.lead_time_ms`): simulation-domain, so a
-//!   much tighter shrink threshold applies — higher is better here.
+//!   tight shrink threshold applies — higher is better here.
 //! * **budget fraction** (`falls_lead_ge_budget / triggered_falls` from
 //!   the snapshot's top-level fields): an absolute drop beyond the
 //!   configured slack fails.
+//! * **arming overhead** (gauges/fields whose name contains
+//!   `speedup`, the disarmed ÷ armed ratios): shrink past the relative
+//!   threshold fails.
 //! * **clean-leg drift** (gauges/fields named `drift.clean_*_psi`):
 //!   PSI of a healthy replay against the committed reference
 //!   fingerprint. Growth past an *absolute* allowance fails — PSI is
@@ -147,17 +149,9 @@ impl BenchSnapshot {
     }
 }
 
-/// Regression thresholds. Latency thresholds are generous by default —
-/// CI compares wall-clock numbers recorded on different machines —
-/// while the simulation-domain lead-time thresholds are tight.
+/// Regression thresholds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Thresholds {
-    /// Relative growth (in %) a latency quantile may show before it
-    /// counts as a regression.
-    pub latency_pct: f64,
-    /// Absolute growth floor for latency, in seconds: changes smaller
-    /// than this never fail, whatever the relative growth.
-    pub latency_floor_s: f64,
     /// Relative shrink (in %) a lead-time quantile may show.
     pub lead_pct: f64,
     /// Absolute shrink floor for lead time, in ms.
@@ -166,15 +160,8 @@ pub struct Thresholds {
     pub budget_drop: f64,
     /// Relative shrink (in %) a speedup gauge or field (any metric
     /// whose name contains `speedup`) may show — higher is better, so
-    /// only shrink gates. Generous by default: parallel speedup depends
-    /// on the host's core count.
+    /// only shrink gates.
     pub speedup_pct: f64,
-    /// Relative shrink (in %) a throughput gauge or field (any metric
-    /// whose name ends in `_per_s`, e.g. the fleet's
-    /// `fleet.sessions_per_s`) may show — higher is better, so only
-    /// shrink gates, and generously: wall-clock throughput travels
-    /// between CI machines.
-    pub throughput_pct: f64,
     /// Absolute PSI growth a clean-leg drift gauge or field (any
     /// metric named `drift.clean_*_psi`) may show. Absolute, not
     /// relative: the clean baseline sits near zero by construction, so
@@ -184,22 +171,18 @@ pub struct Thresholds {
     /// shift" reading.
     pub drift_abs: f64,
     /// Minimum observation count (on both sides) before a histogram can
-    /// gate at all. Tiny histograms — a 3-sample `normalize_seconds` —
-    /// swing hundreds of percent run-to-run on the same machine from
-    /// pure scheduling noise; they are reported but never fail.
+    /// gate at all. A quantile of a handful of observations swings far
+    /// from run to run; such histograms are reported but never fail.
     pub min_count: f64,
 }
 
 impl Default for Thresholds {
     fn default() -> Self {
         Self {
-            latency_pct: 200.0,
-            latency_floor_s: 50e-6,
             lead_pct: 10.0,
             lead_floor_ms: 5.0,
             budget_drop: 0.05,
             speedup_pct: 25.0,
-            throughput_pct: 30.0,
             drift_abs: 0.05,
             min_count: 20.0,
         }
@@ -209,7 +192,7 @@ impl Default for Thresholds {
 /// One compared statistic.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Delta {
-    /// Metric name (`detector.infer_seconds`, …).
+    /// Metric name (`detector.lead_time_ms`, …).
     pub metric: String,
     /// Statistic compared (`p95`, `mean`, `budget_fraction`, …).
     pub stat: &'static str,
@@ -285,20 +268,12 @@ impl DiffReport {
     }
 }
 
-fn is_latency(name: &str) -> bool {
-    name.ends_with("_seconds")
-}
-
 fn is_lead_time(name: &str) -> bool {
     name.ends_with("lead_time_ms")
 }
 
 fn is_speedup(name: &str) -> bool {
     name.contains("speedup")
-}
-
-fn is_throughput(name: &str) -> bool {
-    name.ends_with("_per_s")
 }
 
 fn is_clean_drift(name: &str) -> bool {
@@ -313,17 +288,6 @@ fn speedup_regressed(base: f64, cand: f64, t: &Thresholds) -> bool {
     base.is_finite() && cand.is_finite() && cand < base * (1.0 - t.speedup_pct / 100.0)
 }
 
-fn throughput_regressed(base: f64, cand: f64, t: &Thresholds) -> bool {
-    base.is_finite() && cand.is_finite() && cand < base * (1.0 - t.throughput_pct / 100.0)
-}
-
-fn latency_regressed(base: f64, cand: f64, t: &Thresholds) -> bool {
-    base.is_finite()
-        && cand.is_finite()
-        && cand - base > t.latency_floor_s
-        && cand > base * (1.0 + t.latency_pct / 100.0)
-}
-
 fn lead_regressed(base: f64, cand: f64, t: &Thresholds) -> bool {
     base.is_finite()
         && cand.is_finite()
@@ -333,10 +297,11 @@ fn lead_regressed(base: f64, cand: f64, t: &Thresholds) -> bool {
 
 /// Compares two snapshots under the given thresholds.
 ///
-/// Latency histograms gate on p50/p95/p99/mean growth; the lead-time
-/// histogram gates on p50/mean shrink; the budget fraction gates on an
-/// absolute drop. Histograms under `min_count` observations on either
-/// side, and everything else, are reported but never fail.
+/// The lead-time histogram gates on quantile and mean shrink; the
+/// budget fraction gates on an absolute drop; speedup gauges on
+/// relative shrink; clean-leg drift on absolute growth. Histograms
+/// under `min_count` observations on either side, and everything else,
+/// are reported but never fail.
 pub fn diff(base: &BenchSnapshot, cand: &BenchSnapshot, t: &Thresholds) -> DiffReport {
     let mut report = DiffReport::default();
 
@@ -353,15 +318,7 @@ pub fn diff(base: &BenchSnapshot, cand: &BenchSnapshot, t: &Thresholds) -> DiffR
             ("mean", b.mean, c.mean),
         ];
         for (stat, bv, cv) in stats {
-            let regression = if !gateable {
-                false
-            } else if is_latency(name) {
-                latency_regressed(bv, cv, t)
-            } else if is_lead_time(name) {
-                lead_regressed(bv, cv, t)
-            } else {
-                false
-            };
+            let regression = gateable && is_lead_time(name) && lead_regressed(bv, cv, t);
             report.deltas.push(Delta {
                 metric: name.clone(),
                 stat,
@@ -384,16 +341,14 @@ pub fn diff(base: &BenchSnapshot, cand: &BenchSnapshot, t: &Thresholds) -> DiffR
         }
     }
 
-    // Speedup and throughput gauges/fields: higher is better; only
-    // shrink past the respective threshold gates. Clean-leg drift PSI:
-    // lower is better; only absolute growth gates.
+    // Speedup gauges/fields: higher is better; only shrink past the
+    // threshold gates. Clean-leg drift PSI: lower is better; only
+    // absolute growth gates.
     for (section_base, section_cand) in [(&base.gauges, &cand.gauges), (&base.fields, &cand.fields)]
     {
         for (name, bv) in section_base {
             let rule: fn(f64, f64, &Thresholds) -> bool = if is_speedup(name) {
                 speedup_regressed
-            } else if is_throughput(name) {
-                throughput_regressed
             } else if is_clean_drift(name) {
                 drift_regressed
             } else {
@@ -469,40 +424,6 @@ mod tests {
     }
 
     #[test]
-    fn latency_blowup_fails_but_small_noise_passes() {
-        let t = Thresholds::default();
-        let base = BenchSnapshot::parse(BASE).unwrap();
-
-        // 10× p95: clearly past +200 % and the 50 µs floor.
-        let slow = tweaked(|s| {
-            let h = s.histograms.get_mut("detector.infer_seconds").unwrap();
-            h.p95 *= 10.0;
-            h.p99 *= 10.0;
-        });
-        let report = diff(&base, &slow, &t);
-        assert!(report.has_regressions());
-        let failing: Vec<_> = report.regressions().map(|d| d.stat).collect();
-        assert!(failing.contains(&"p95") && failing.contains(&"p99"));
-
-        // 2× p95 stays inside the generous relative threshold.
-        let noisy = tweaked(|s| {
-            s.histograms.get_mut("detector.infer_seconds").unwrap().p95 *= 2.0;
-        });
-        assert!(!diff(&base, &noisy, &t).has_regressions());
-
-        // Huge relative growth under the absolute floor also passes:
-        // 5 µs → 40 µs is +700 % but only 35 µs of change.
-        let tiny = tweaked(|s| {
-            let h = s.histograms.get_mut("detector.infer_seconds").unwrap();
-            h.p50 = 40e-6;
-        });
-        let base_tiny = tweaked(|s| {
-            s.histograms.get_mut("detector.infer_seconds").unwrap().p50 = 5e-6;
-        });
-        assert!(!diff(&base_tiny, &tiny, &t).has_regressions());
-    }
-
-    #[test]
     fn lead_time_shrink_fails() {
         let base = BenchSnapshot::parse(BASE).unwrap();
         let worse = tweaked(|s| {
@@ -537,41 +458,41 @@ mod tests {
 
     #[test]
     fn different_bucket_layouts_still_compare() {
-        // The candidate was recorded with different bounds — summary
-        // stats are all that matter.
-        let cand = tweaked(|s| {
-            // Simulates a re-bucketed snapshot: stats survive, layout
-            // (which parse ignores) differs.
-            let h = s.histograms.get_mut("detector.infer_seconds").unwrap();
-            h.p95 *= 1.01;
-        });
+        // The candidate was recorded with different bounds: summary
+        // stats are all that matter, so the same stats pass and a
+        // shrunk median still fails.
+        let rebucketed = BASE.replace(
+            r#""bounds":[500.0],"counts":[60,38]"#,
+            r#""bounds":[100.0,250.0,500.0,1000.0],"counts":[5,20,35,38,0]"#,
+        );
+        assert_ne!(rebucketed, BASE);
         let base = BenchSnapshot::parse(BASE).unwrap();
+        let cand = BenchSnapshot::parse(&rebucketed).unwrap();
         assert!(!diff(&base, &cand, &Thresholds::default()).has_regressions());
+        let shrunk =
+            BenchSnapshot::parse(&rebucketed.replace(r#""p50":360.0"#, r#""p50":250.0"#)).unwrap();
+        assert!(diff(&base, &shrunk, &Thresholds::default()).has_regressions());
     }
 
     #[test]
     fn low_count_histograms_never_gate() {
-        // 3 observations: a +400 % mean swing is scheduling noise, not
-        // a regression (seen live on back-to-back edge_perf runs).
-        let base = tweaked(|s| {
-            let h = s.histograms.get_mut("detector.infer_seconds").unwrap();
-            h.count = 3.0;
+        // 3 observations: a −50 % median swing is noise, not a
+        // regression.
+        let shrunk = |count: f64| {
+            tweaked(move |s| {
+                let h = s.histograms.get_mut("detector.lead_time_ms").unwrap();
+                h.count = count;
+                h.p50 *= 0.5;
+                h.mean *= 0.5;
+            })
+        };
+        let low_base = tweaked(|s| {
+            s.histograms.get_mut("detector.lead_time_ms").unwrap().count = 3.0;
         });
-        let noisy = tweaked(|s| {
-            let h = s.histograms.get_mut("detector.infer_seconds").unwrap();
-            h.count = 3.0;
-            h.p95 *= 5.0;
-            h.mean *= 5.0;
-        });
-        assert!(!diff(&base, &noisy, &Thresholds::default()).has_regressions());
+        assert!(!diff(&low_base, &shrunk(3.0), &Thresholds::default()).has_regressions());
         // The same swing at full count still fails.
-        let full = tweaked(|s| {
-            let h = s.histograms.get_mut("detector.infer_seconds").unwrap();
-            h.p95 *= 5.0;
-            h.mean *= 5.0;
-        });
         let full_base = BenchSnapshot::parse(BASE).unwrap();
-        assert!(diff(&full_base, &full, &Thresholds::default()).has_regressions());
+        assert!(diff(&full_base, &shrunk(98.0), &Thresholds::default()).has_regressions());
     }
 
     #[test]
@@ -579,7 +500,7 @@ mod tests {
         let t = Thresholds::default();
         let with_speedup = |v: f64| {
             tweaked(move |s| {
-                s.gauges.insert("perf.speedup".to_string(), v);
+                s.gauges.insert("trace.arming_speedup".to_string(), v);
             })
         };
         let base = with_speedup(3.0);
@@ -590,7 +511,7 @@ mod tests {
         assert!(
             report
                 .regressions()
-                .any(|d| d.metric == "perf.speedup" && d.stat == "value"),
+                .any(|d| d.metric == "trace.arming_speedup" && d.stat == "value"),
             "{}",
             report.render()
         );
@@ -605,40 +526,6 @@ mod tests {
         });
         let fworse = tweaked(|s| {
             s.fields.insert("wall_speedup".to_string(), 1.0);
-        });
-        assert!(diff(&fbase, &fworse, &t).has_regressions());
-    }
-
-    #[test]
-    fn throughput_shrink_fails_but_growth_and_noise_pass() {
-        let t = Thresholds::default();
-        let with_tp = |v: f64| {
-            tweaked(move |s| {
-                s.gauges.insert("fleet.sessions_per_s".to_string(), v);
-            })
-        };
-        let base = with_tp(1000.0);
-
-        // −50 %: well past the 30 % gate.
-        let report = diff(&base, &with_tp(500.0), &t);
-        assert!(
-            report
-                .regressions()
-                .any(|d| d.metric == "fleet.sessions_per_s" && d.stat == "value"),
-            "{}",
-            report.render()
-        );
-
-        // −20 % is machine noise; growth is an improvement.
-        assert!(!diff(&base, &with_tp(800.0), &t).has_regressions());
-        assert!(!diff(&base, &with_tp(2000.0), &t).has_regressions());
-
-        // Throughput as a top-level field gates identically.
-        let fbase = tweaked(|s| {
-            s.fields.insert("batches_per_s".to_string(), 400.0);
-        });
-        let fworse = tweaked(|s| {
-            s.fields.insert("batches_per_s".to_string(), 100.0);
         });
         assert!(diff(&fbase, &fworse, &t).has_regressions());
     }
@@ -705,11 +592,11 @@ mod tests {
     #[test]
     fn render_marks_failures() {
         let base = BenchSnapshot::parse(BASE).unwrap();
-        let slow = tweaked(|s| {
-            s.histograms.get_mut("detector.infer_seconds").unwrap().p99 *= 20.0;
+        let worse = tweaked(|s| {
+            s.histograms.get_mut("detector.lead_time_ms").unwrap().p50 = 250.0;
         });
-        let text = diff(&base, &slow, &Thresholds::default()).render();
+        let text = diff(&base, &worse, &Thresholds::default()).render();
         assert!(text.contains("FAIL"));
-        assert!(text.contains("detector.infer_seconds"));
+        assert!(text.contains("detector.lead_time_ms"));
     }
 }

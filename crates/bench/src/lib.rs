@@ -17,8 +17,11 @@
 //! on [`prefall_core::experiment::ExperimentConfig`].
 //!
 //! The `benchdiff` binary (backed by [`diff`]) compares two
-//! `BENCH_telemetry.json` snapshots and exits non-zero on latency or
-//! lead-time regressions — the CI gate against the committed baseline.
+//! `BENCH_telemetry.json` snapshots and exits non-zero on
+//! simulation-domain regressions (lead time, budget fraction, clean-leg
+//! drift) or an arming-overhead (`*speedup*`) regression — the CI gate
+//! against the committed baselines. Wall-clock speed is gated by the
+//! repo benchmark (`benchmark compare`), not here.
 
 pub mod diff;
 pub mod driftref;

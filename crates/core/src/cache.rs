@@ -12,8 +12,7 @@
 //!
 //! Entries hold an [`OnceLock`], so two workers racing on the same key
 //! compute the set once and share it. The cache is bounded (LRU by
-//! access tick) and can be disabled with `PREFALL_PREPROC_CACHE=0` —
-//! the perf bench's baseline leg uses that to time the uncached path.
+//! access tick); a hit returns exactly the set an uncached build would.
 //!
 //! Activity is published as `cache.hits` / `cache.misses` /
 //! `cache.evictions` counters through the recorder passed to
@@ -26,16 +25,9 @@ use prefall_telemetry::Recorder;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Environment variable: set to `0` to bypass the cache entirely.
-pub const CACHE_ENV: &str = "PREFALL_PREPROC_CACHE";
-
 /// Default number of cached segment sets (one per distinct window
 /// config in flight; the Table III grid needs three).
 pub const DEFAULT_CAPACITY: usize = 8;
-
-fn cache_disabled() -> bool {
-    std::env::var(CACHE_ENV).is_ok_and(|v| v.trim() == "0")
-}
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -150,8 +142,7 @@ impl SegmentCache {
     /// Returns the pre-normalisation segment set for `trials` under the
     /// pipeline's configuration, computing it at most once per distinct
     /// content. Emits `cache.hits` / `cache.misses` /
-    /// `cache.evictions` counters; with `PREFALL_PREPROC_CACHE=0` the
-    /// cache is bypassed and every call recomputes.
+    /// `cache.evictions` counters.
     ///
     /// On a hit the pipeline's per-stage spans and segment counters are
     /// **not** re-emitted — the work they would time never runs.
@@ -161,9 +152,6 @@ impl SegmentCache {
         trials: &[Trial],
         rec: &dyn Recorder,
     ) -> Arc<SegmentSet> {
-        if cache_disabled() {
-            return Arc::new(pipeline.segment_set_recorded(trials, rec));
-        }
         let key = content_key(pipeline.config(), trials);
         let (cell, hit) = {
             let mut inner = self.inner.lock().expect("cache poisoned");
@@ -220,17 +208,12 @@ mod tests {
     use prefall_imu::dataset::Dataset;
     use prefall_telemetry::Registry;
 
-    /// Serialises the tests that read [`CACHE_ENV`] against the one
-    /// that sets it: the environment is process-wide.
-    static ENV_LOCK: Mutex<()> = Mutex::new(());
-
     fn dataset() -> Dataset {
         Dataset::combined_scaled(1, 1, 42).unwrap()
     }
 
     #[test]
     fn hit_returns_the_same_set_without_recompute() {
-        let _env = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let ds = dataset();
         let p = Pipeline::new(PipelineConfig::paper(200.0, Overlap::Half)).unwrap();
         let cache = SegmentCache::default();
@@ -248,7 +231,6 @@ mod tests {
 
     #[test]
     fn different_configs_get_different_entries() {
-        let _env = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let ds = dataset();
         let p200 = Pipeline::new(PipelineConfig::paper(200.0, Overlap::Half)).unwrap();
         let p400 = Pipeline::new(PipelineConfig::paper_400ms()).unwrap();
@@ -263,7 +245,6 @@ mod tests {
 
     #[test]
     fn capacity_bound_evicts_least_recently_used() {
-        let _env = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let ds = dataset();
         let cache = SegmentCache::with_capacity(2);
         let reg = Registry::new();
@@ -279,22 +260,6 @@ mod tests {
         // 200 ms was evicted: asking again misses.
         cache.get_or_build(&mk(200.0), ds.trials(), &reg);
         assert_eq!(reg.snapshot().counters.get("cache.misses"), Some(&4));
-    }
-
-    #[test]
-    fn env_kill_switch_bypasses_the_cache() {
-        let _env = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let ds = dataset();
-        let p = Pipeline::new(PipelineConfig::paper(200.0, Overlap::Half)).unwrap();
-        let cache = SegmentCache::default();
-        let reg = Registry::new();
-        std::env::set_var(CACHE_ENV, "0");
-        let a = cache.get_or_build(&p, ds.trials(), &reg);
-        let b = cache.get_or_build(&p, ds.trials(), &reg);
-        std::env::remove_var(CACHE_ENV);
-        assert!(!Arc::ptr_eq(&a, &b), "bypass must recompute");
-        assert!(cache.is_empty());
-        assert_eq!(*a, *b);
     }
 
     #[test]

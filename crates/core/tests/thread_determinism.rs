@@ -4,9 +4,12 @@
 //! work-stealing scheduler — and every one of them is constructed so
 //! the outcome is **bit-identical** for any thread count (independent
 //! seeded tasks, index-ordered collection, per-sample gradient slots).
+//! The blocked/fused kernels must not change results either: the grid
+//! run on the naive reference kernels gives the same report.
 
 use prefall_core::experiment::{Experiment, ExperimentConfig};
 use prefall_core::models::ModelKind;
+use prefall_nn::kernels::set_reference_kernels;
 use prefall_telemetry::{NoopRecorder, Registry};
 
 #[test]
@@ -30,12 +33,23 @@ fn experiment_report_is_bit_identical_for_any_thread_count() {
     let serial = run_with("1");
     let two = run_with("2");
     let eight = run_with("8");
+    // The naive reference kernels, serial: the fast kernels (training
+    // and inference) must reproduce them bit for bit at any thread
+    // count. The switch is process-wide, and its outputs are identical
+    // either way, so tests running alongside are unaffected.
+    set_reference_kernels(true);
+    let reference = run_with("1");
+    set_reference_kernels(false);
 
     assert_eq!(serial.cells.len(), 2);
     // `ExperimentReport: PartialEq` compares every fold's metrics,
     // confusion counts and per-segment f32 probabilities exactly.
     assert_eq!(serial, two, "2 threads changed the report");
     assert_eq!(serial, eight, "8 threads changed the report");
+    assert_eq!(
+        reference, two,
+        "the fast kernels diverged from the reference"
+    );
 }
 
 #[test]

@@ -31,6 +31,11 @@
 //! [`FleetConfig::reject_at`]: crate::FleetConfig::reject_at
 //! [`FleetConfig::shed_at`]: crate::FleetConfig::shed_at
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
+)]
+
 use crate::protocol::{IngestBatch, IngestStatus};
 use crate::Fleet;
 use prefall_obsd::http;
@@ -38,7 +43,7 @@ use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -59,7 +64,8 @@ impl FleetServer {
     ///
     /// # Errors
     ///
-    /// Propagates bind/listen failures.
+    /// Propagates bind/listen failures and thread-spawn failures; a
+    /// failed spawn first stops and joins the threads already started.
     pub fn start(addr: &str, fleet: Arc<Fleet>) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
@@ -111,48 +117,50 @@ impl FleetServer {
                     }
                     // `tx` drops here; workers drain and see the
                     // channel disconnect.
-                })
-                .expect("spawn fleet accept thread")
+                })?
         };
 
-        let workers = (0..n_workers)
-            .map(|i| {
-                let fleet = Arc::clone(&fleet);
-                let stop = Arc::clone(&stop);
-                let rx = Arc::clone(&rx);
-                let queued = Arc::clone(&queued);
-                std::thread::Builder::new()
-                    .name(format!("prefall-fleet-conn-{i}"))
-                    .spawn(move || loop {
-                        let next = rx
-                            .lock()
-                            .expect("ingest queue lock")
-                            .recv_timeout(Duration::from_millis(100));
-                        match next {
-                            Ok(stream) => {
-                                let depth = queued.fetch_sub(1, Ordering::Relaxed) - 1;
-                                fleet.note_queue_depth(depth);
-                                serve_connection(&fleet, stream);
-                                fleet.pressure_dec();
-                            }
-                            Err(RecvTimeoutError::Timeout) => {
-                                if stop.load(Ordering::Relaxed) {
-                                    return;
-                                }
-                            }
-                            Err(RecvTimeoutError::Disconnected) => return,
-                        }
-                    })
-                    .expect("spawn fleet connection worker")
-            })
-            .collect();
-
-        Ok(Self {
+        // From here on, dropping `server` stops and joins every thread
+        // started so far, so a failed worker spawn leaks none.
+        let mut server = Self {
             addr: local,
-            stop,
+            stop: Arc::clone(&stop),
             accept: Some(accept),
-            workers,
-        })
+            workers: Vec::with_capacity(n_workers),
+        };
+        for i in 0..n_workers {
+            let fleet = Arc::clone(&fleet);
+            let stop = Arc::clone(&stop);
+            let rx = Arc::clone(&rx);
+            let queued = Arc::clone(&queued);
+            let worker = std::thread::Builder::new()
+                .name(format!("prefall-fleet-conn-{i}"))
+                .spawn(move || loop {
+                    // The lock is held only across `recv_timeout`,
+                    // which never leaves the receiver half-updated, so
+                    // a poisoned lock is safe to reuse.
+                    let next = rx
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .recv_timeout(Duration::from_millis(100));
+                    match next {
+                        Ok(stream) => {
+                            let depth = queued.fetch_sub(1, Ordering::Relaxed) - 1;
+                            fleet.note_queue_depth(depth);
+                            serve_connection(&fleet, stream);
+                            fleet.pressure_dec();
+                        }
+                        Err(RecvTimeoutError::Timeout) => {
+                            if stop.load(Ordering::Relaxed) {
+                                return;
+                            }
+                        }
+                        Err(RecvTimeoutError::Disconnected) => return,
+                    }
+                })?;
+            server.workers.push(worker);
+        }
+        Ok(server)
     }
 
     /// The bound address (useful with port `0`).

@@ -12,8 +12,10 @@
 //! `crates/nn/tests/conv_kernels.rs` assert it over random shapes.
 //!
 //! The [`set_reference_kernels`] switch forces the naive reference
-//! paths; the `perf` bench binary uses it to time the seed
-//! implementation against the blocked/fused one without rebuilding.
+//! paths process-wide. `crates/core/tests/thread_determinism.rs` runs
+//! the whole experiment grid (training and inference) under it and
+//! asserts the report equals the fast run's bit for bit; the
+//! benchmark's `stream-float` oracle does the same per window.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

@@ -143,8 +143,8 @@ impl Layer for Conv1d {
         self.input_cache.clear();
         self.input_cache.extend_from_slice(input);
         let mut out = vec![0.0f32; self.out_time() * self.filters];
-        // Both kernels are bit-identical; the switch only exists so the
-        // perf bench can time the naive path.
+        // Both kernels are bit-identical; the switch only exists so
+        // tests can check the fast path against the naive one.
         if kernels::reference_kernels() {
             kernels::conv1d_reference(
                 input,

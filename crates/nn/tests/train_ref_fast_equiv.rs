@@ -1,10 +1,9 @@
 //! The factored fast training path must be bit-identical to the
 //! reference path: same trained weights, same loss history, same
-//! predictions. The perf bench's speedup claim rests on this — it
-//! compares a reference-kernel leg against a fast-kernel leg and
-//! refuses to report a speedup unless every result cell matches
-//! bit-for-bit. This test lives in its own integration binary (own
-//! process) because it toggles the process-wide kernel switch.
+//! predictions. `thread_determinism` checks the same end to end, on a
+//! whole experiment grid run under each kernel set. This test lives in
+//! its own integration binary (own process) because it toggles the
+//! process-wide kernel switch.
 
 use prefall_nn::kernels::set_reference_kernels;
 use prefall_nn::loss::WeightedBce;

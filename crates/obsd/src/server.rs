@@ -26,6 +26,11 @@
 //! thread is single and serial, so one stuck socket would otherwise
 //! blind every scraper. Cut-offs are counted as `obsd.conn_timeouts`.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
+)]
+
 use crate::drift::DriftSource;
 use crate::health::HealthReport;
 use crate::http;
@@ -112,7 +117,8 @@ impl MetricsServer {
     ///
     /// # Errors
     ///
-    /// Propagates bind failures (`EADDRINUSE`, permission, bad address).
+    /// Propagates bind failures (`EADDRINUSE`, permission, bad address)
+    /// and a failure to spawn the serving thread.
     pub fn start(
         addr: impl ToSocketAddrs,
         registry: Arc<Registry>,
@@ -128,8 +134,7 @@ impl MetricsServer {
         let thread_stop = Arc::clone(&stop);
         let handle = std::thread::Builder::new()
             .name("prefall-obsd".to_string())
-            .spawn(move || serve_loop(listener, registry, config, sources, thread_stop))
-            .expect("spawn exporter thread");
+            .spawn(move || serve_loop(listener, registry, config, sources, thread_stop))?;
         Ok(Self {
             addr,
             stop,
@@ -298,7 +303,7 @@ fn handle_connection(
             None => not_found("no incident source attached"),
         },
         p if p.starts_with("/incidents/") => {
-            let id = &p["/incidents/".len()..];
+            let id = p.strip_prefix("/incidents/").unwrap_or_default();
             match incidents.and_then(|src| src.get_json(id)) {
                 Some(doc) => json_reply(&doc),
                 None => not_found("unknown incident"),
