@@ -9,8 +9,9 @@
 //!    alarm PSI on every section of the lifetime fingerprint: no false
 //!    drift alarms on healthy data. Recorded as
 //!    `drift.clean_input_psi` / `drift.clean_score_psi` /
-//!    `drift.clean_attribution_psi` and CI-gated absolutely by
-//!    `benchdiff --drift-abs` against `ci/drift_baseline.json`.
+//!    `drift.clean_attribution_psi`, each of which must also stay
+//!    within 0.05 PSI of the committed run's value (`MAX_CLEAN_*_PSI`;
+//!    absolute, because the healthy value sits near zero).
 //! 2. **Degradation sweep** — a sensor-degradation plan at intensities
 //!    0.3 / 0.6 / 1.0 (lower intensities corrupt a *subset* of higher
 //!    ones) must produce strictly increasing input PSI, with the top
@@ -23,7 +24,7 @@
 //!    detector; the drift tap's fixed ~3 µs cost may eat at most about
 //!    a fifth of a classified push now that the packed-kernel
 //!    workspace path halved the unarmed denominator
-//!    (`drift.arming_speedup`, CI-gated by `benchdiff --speedup-pct 3`).
+//!    (`drift.arming_speedup` ≥ `MIN_ARMING_SPEEDUP`).
 //! 5. **Drift → SLO → incident** — one steady wearer (a single ADL
 //!    trial cycled, scored against its own in-run fingerprint, so the
 //!    sliding view is stationary) on a virtual clock: clean to 300 s,
@@ -45,9 +46,9 @@
 //! cargo run --release -p prefall-bench --bin prefall-drift
 //! ```
 
-use prefall_bench::{driftref, telemetry_out};
+use prefall_bench::overhead::{arming_medians, probe_detector};
+use prefall_bench::{at_least, at_most, driftref, fail, telemetry_out};
 use prefall_blackbox::{FlightConfig, FlightRecorder};
-use prefall_core::detector::StreamingDetector;
 use prefall_core::models::ModelKind;
 use prefall_core::session::ModelBundle;
 use prefall_core::tap::{DetectorTap, TapFanout};
@@ -60,7 +61,6 @@ use prefall_imu::SAMPLE_PERIOD_MS;
 use prefall_telemetry::{JsonValue, Recorder, Value};
 use prefall_watch::{Alert, Watch, WatchConfig};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Dataset seed for the "deployment" streams: same generator as the
 /// reference ([`driftref::REFERENCE_SEED`]), disjoint draws.
@@ -80,10 +80,25 @@ const STEADY_REF_SAMPLES: u64 = 30_000;
 /// Classified windows per mode in the overhead leg.
 const OVERHEAD_WINDOWS: usize = 200;
 
-fn fail(gate: &str, detail: String) -> ! {
-    eprintln!("drift bench: FAIL ({gate}) — {detail}");
-    std::process::exit(1);
-}
+/// Classified windows per tap in/out round in the overhead leg.
+const OVERHEAD_ROUND: usize = 20;
+
+/// Floor on `drift.arming_speedup`: the committed ratio 0.82 × 0.97.
+/// The ratio reads 0.82–0.9 run to run since the packed-kernel
+/// workspace path cut the unarmed classified push from ~31 µs to
+/// ~14 µs: the tap's ~3 µs is a larger slice of a cheaper push.
+const MIN_ARMING_SPEEDUP: f64 = 0.82 * 0.97;
+
+// Clean-leg PSI ceilings: the committed run's value + 0.05 (a quarter
+// of the conventional 0.2 "moderate shift" reading). The leg is
+// seeded, so a healthy replay drifting further from the reference
+// means the pipeline or the sketches changed.
+/// Ceiling on `drift.clean_input_psi`; committed 0.005285.
+const MAX_CLEAN_INPUT_PSI: f64 = 0.005285124223397256 + 0.05;
+/// Ceiling on `drift.clean_score_psi`; committed 0.015733.
+const MAX_CLEAN_SCORE_PSI: f64 = 0.015733314720051773 + 0.05;
+/// Ceiling on `drift.clean_attribution_psi`; committed 0.038252.
+const MAX_CLEAN_ATTRIBUTION_PSI: f64 = 0.0382523860935711 + 0.05;
 
 /// The drift the monitor exists to catch: not the rare transient
 /// artifacts of `FaultPlan::kitchen_sink` (which the robustness bench
@@ -107,15 +122,6 @@ fn drift_plan(seed: u64) -> FaultPlan {
             start: 0.2,
             len: 600,
         })
-}
-
-fn plain_detector() -> StreamingDetector {
-    let cfg = driftref::detector_config();
-    let window = cfg.pipeline.segmentation.window();
-    let net = ModelKind::ProposedCnn
-        .build(window, 9, 1)
-        .expect("model builds");
-    StreamingDetector::new(net, Normalizer::identity(9), cfg).expect("detector")
 }
 
 /// Streams every trial through a fresh monitored detector — faulted
@@ -202,6 +208,14 @@ fn main() {
     registry.gauge_set("drift.clean_input_psi", clean.input_psi);
     registry.gauge_set("drift.clean_score_psi", clean.score_psi);
     registry.gauge_set("drift.clean_attribution_psi", clean.attribution_psi);
+    at_most("clean", "input_psi", clean.input_psi, MAX_CLEAN_INPUT_PSI);
+    at_most("clean", "score_psi", clean.score_psi, MAX_CLEAN_SCORE_PSI);
+    at_most(
+        "clean",
+        "attribution_psi",
+        clean.attribution_psi,
+        MAX_CLEAN_ATTRIBUTION_PSI,
+    );
     println!(
         "clean       : input_psi {:.4}, score_psi {:.4}, attribution_psi {:.4} ({} samples)",
         clean.input_psi, clean.score_psi, clean.attribution_psi, clean.samples
@@ -297,50 +311,24 @@ fn main() {
     // inference to the traced engine (attribution is part of the
     // price), so this measures the whole honest cost.
     rec.event("bench.phase", &[("phase", Value::from("overhead"))]);
-    let mut det = plain_detector();
-    let window = det.bundle().config().pipeline.segmentation.window();
-    for _ in 0..2 * window {
-        let _ = det.push_sample([0.01, -0.02, 1.0], [0.0, 0.1, 0.0]);
-    }
     let (tap, dh) = DriftMonitor::create(DriftConfig::default());
     dh.set_reference(reference.clone());
-    let mut tap_slot: Option<Box<dyn DetectorTap>> = Some(Box::new(tap));
-    // Warm the traced path once (first armed window sizes its buffers).
-    det.session_mut().set_tap(tap_slot.take().expect("tap"));
-    for _ in 0..2 * window {
-        let _ = det.push_sample([0.01, -0.02, 1.0], [0.0, 0.1, 0.0]);
-    }
-    tap_slot = det.session_mut().take_tap();
-    let mut unarmed: Vec<f64> = Vec::with_capacity(OVERHEAD_WINDOWS * 2);
-    let mut armed: Vec<f64> = Vec::with_capacity(OVERHEAD_WINDOWS * 2);
-    let mut arm_next = false;
-    while unarmed.len() < OVERHEAD_WINDOWS || armed.len() < OVERHEAD_WINDOWS {
-        if arm_next {
-            det.session_mut()
-                .set_tap(tap_slot.take().expect("tap parked"));
-        }
-        let sink = if arm_next { &mut armed } else { &mut unarmed };
-        let mut classified = 0usize;
-        while classified < 20 {
-            let t0 = Instant::now();
-            let p = det.push_sample([0.01, -0.02, 1.0], [0.0, 0.1, 0.0]);
-            let dt = t0.elapsed().as_secs_f64();
-            if p.is_some() {
-                sink.push(dt);
-                classified += 1;
+    let mut parked: Option<Box<dyn DetectorTap>> = Some(Box::new(tap));
+    let (unarmed_med, armed_med) = arming_medians(
+        &mut probe_detector(1.1),
+        OVERHEAD_WINDOWS,
+        OVERHEAD_ROUND,
+        |det, armed| {
+            let session = det.session_mut();
+            if armed {
+                if let Some(tap) = parked.take() {
+                    session.set_tap(tap);
+                }
+            } else if let Some(tap) = session.take_tap() {
+                parked = Some(tap);
             }
-        }
-        if arm_next {
-            tap_slot = det.session_mut().take_tap();
-        }
-        arm_next = !arm_next;
-    }
-    let med = |v: &mut Vec<f64>| {
-        v.sort_by(f64::total_cmp);
-        v[v.len() / 2]
-    };
-    let unarmed_med = med(&mut unarmed);
-    let armed_med = med(&mut armed);
+        },
+    );
     let speedup = unarmed_med / armed_med;
     registry.gauge_set("drift.arming_speedup", speedup);
     println!(
@@ -349,20 +337,12 @@ fn main() {
         armed_med * 1e6,
         speedup
     );
-    // Re-derived when the packed-kernel workspace path cut the unarmed
-    // classified push from ~31 µs to ~14 µs: the tap's absolute cost is
-    // unchanged (~3 µs) but it is now a larger fraction of a much
-    // cheaper push. Observed spread on the 1-CPU box is 0.82–0.84; the
-    // committed baseline holds 0.82 and this hard floor sits below it.
-    if speedup < 0.78 {
-        fail(
-            "overhead",
-            format!(
-                "armed drift tap costs {:.1} % on the classified push path",
-                (1.0 / speedup - 1.0) * 100.0
-            ),
-        );
-    }
+    at_least(
+        "overhead",
+        "drift.arming_speedup",
+        speedup,
+        MIN_ARMING_SPEEDUP,
+    );
 
     // Leg 5: the production loop end to end — drift gauges feed the
     // watch SLOs, a sustained breach fires, and the firing captures a
@@ -403,7 +383,7 @@ fn main() {
         handle.fingerprint()
     };
 
-    let mut det = plain_detector();
+    let mut det = probe_detector(1.1);
     let flight = FlightRecorder::install(&mut det, Vec::new(), FlightConfig::default());
     flight.set_recorder(registry.clone());
     let flight_tap = det.session_mut().take_tap().expect("flight tap installed");

@@ -14,11 +14,17 @@
 //! Prometheus text with the inference-latency histograms, per-activity
 //! confusion counters and the lead-time-budget gauges.
 //!
+//! The binary is its own gate: after writing the snapshot it exits
+//! non-zero unless at least `MIN_LEAD_OBSERVATIONS` falls triggered,
+//! the lead-time p50/p95/p99/mean clear their floors and enough
+//! triggered falls lead by the full budget. Each floor is derived once
+//! from a committed run of this binary.
+//!
 //! ```text
 //! cargo run --release -p prefall-bench --bin edge_perf
 //! ```
 
-use prefall_bench::{paper_edge, telemetry_out};
+use prefall_bench::{at_least, fail, paper_edge, telemetry_out};
 use prefall_core::cv::{subject_folds, train_on_sets, CvConfig};
 use prefall_core::detector::{
     lead_time_bounds_ms, run_on_trial, DetectorConfig, StreamingDetector,
@@ -35,6 +41,23 @@ use prefall_mcu::target::McuTarget;
 use prefall_nn::quant::QuantizedNetwork;
 use prefall_nn::train::predict_proba;
 use prefall_telemetry::{Histogram, JsonValue, Recorder, Value};
+
+// Lead-time floors, ms: 0.9 × the committed run's statistic (143
+// triggered falls). Lead time is simulated, so it does not vary by host.
+/// Floor on the lead-time median; committed p50 347.32 ms.
+const MIN_LEAD_P50_MS: f64 = 0.9 * 347.32396632346456;
+/// Floor on the lead-time p95; committed p95 591.27 ms.
+const MIN_LEAD_P95_MS: f64 = 0.9 * 591.274561112819;
+/// Floor on the lead-time p99; committed p99 1081.25 ms.
+const MIN_LEAD_P99_MS: f64 = 0.9 * 1081.2483308151154;
+/// Floor on the lead-time mean; committed mean 363.01 ms.
+const MIN_LEAD_MEAN_MS: f64 = 0.9 * 363.006993006993;
+/// Floor on the share of triggered falls that lead by at least the
+/// budget; committed 134 of 143, less 0.05.
+const MIN_BUDGET_FRACTION: f64 = 134.0 / 143.0 - 0.05;
+/// Lead-time observations needed before its quantiles mean anything;
+/// fewer is itself a failure (a detector that never fires).
+const MIN_LEAD_OBSERVATIONS: u64 = 20;
 
 fn main() {
     let (registry, rec) = telemetry_out::bench_recorder();
@@ -250,5 +273,27 @@ fn main() {
             ("falls_protected".to_string(), JsonValue::U64(protected)),
             ("false_activations".to_string(), JsonValue::U64(false_act)),
         ],
+    );
+
+    let observed = lead.map_or(0, |h| h.count);
+    let Some(lead) = lead.filter(|_| observed >= MIN_LEAD_OBSERVATIONS && triggered_falls > 0)
+    else {
+        fail(
+            "lead time",
+            format!(
+                "{observed} lead-time observations from {triggered_falls} triggered falls, \
+                 need {MIN_LEAD_OBSERVATIONS}"
+            ),
+        )
+    };
+    at_least("lead time", "p50 ms", lead.p50, MIN_LEAD_P50_MS);
+    at_least("lead time", "p95 ms", lead.p95, MIN_LEAD_P95_MS);
+    at_least("lead time", "p99 ms", lead.p99, MIN_LEAD_P99_MS);
+    at_least("lead time", "mean ms", lead.mean(), MIN_LEAD_MEAN_MS);
+    at_least(
+        "budget fraction",
+        "falls_lead_ge_budget / triggered_falls",
+        lead_ok as f64 / triggered_falls as f64,
+        MIN_BUDGET_FRACTION,
     );
 }

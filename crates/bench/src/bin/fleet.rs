@@ -30,7 +30,7 @@
 //! cargo run --release -p prefall-bench --bin prefall-fleet
 //! ```
 
-use prefall_bench::telemetry_out;
+use prefall_bench::{fail, telemetry_out};
 use prefall_core::detector::{DetectorConfig, GuardConfig, StreamingDetector};
 use prefall_core::models::ModelKind;
 use prefall_core::pipeline::PipelineConfig;
@@ -122,11 +122,6 @@ fn serial_probs(wearer: u64, ticks: u64) -> Vec<u32> {
         }
     }
     probs
-}
-
-fn fail(gate: &str, detail: String) -> ! {
-    eprintln!("fleet bench: FAIL ({gate}) — {detail}");
-    std::process::exit(1);
 }
 
 // ---------------------------------------------------------------------

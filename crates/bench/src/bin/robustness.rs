@@ -18,8 +18,8 @@
 //!    Violation → exit 3.
 //!
 //! The telemetry snapshot lands in `BENCH_robustness.json` (not
-//! `BENCH_telemetry.json`, so both files can be diffed against their
-//! own committed baselines by `benchdiff`). `PREFALL_SEED` picks the
+//! `BENCH_telemetry.json`, so a run never overwrites `edge_perf`'s
+//! snapshot). `PREFALL_SEED` picks the
 //! fault seed (default 7); `PREFALL_EPOCHS`, `PREFALL_KFALL` and
 //! `PREFALL_SELF` shrink or grow the training run as usual.
 //!

@@ -11,12 +11,11 @@
 //! different years — yields byte-identical `PFDF` files, which is what
 //! lets CI verify the committed artifact instead of trusting it.
 
+use crate::overhead::probe_detector;
 use prefall_core::detector::{DetectorConfig, GuardConfig, StreamingDetector};
-use prefall_core::models::ModelKind;
 use prefall_core::pipeline::PipelineConfig;
 use prefall_drift::{DriftConfig, DriftHandle, DriftMonitor, Fingerprint};
 use prefall_dsp::segment::Overlap;
-use prefall_dsp::stats::Normalizer;
 use prefall_imu::dataset::{Dataset, DatasetConfig};
 use prefall_imu::trial::Trial;
 
@@ -41,13 +40,7 @@ pub fn detector_config() -> DetectorConfig {
 /// A detector with a [`DriftMonitor`] installed as its tap (traced
 /// inference path, so attribution shares are folded per window).
 pub fn monitored_detector(cfg: DriftConfig) -> (StreamingDetector, DriftHandle) {
-    let dc = detector_config();
-    let window = dc.pipeline.segmentation.window();
-    let net = ModelKind::ProposedCnn
-        .build(window, 9, 1)
-        .expect("model builds");
-    let mut det =
-        StreamingDetector::new(net, Normalizer::identity(9), dc).expect("detector builds");
+    let mut det = probe_detector(1.1);
     let handle = DriftMonitor::install(&mut det, cfg);
     (det, handle)
 }

@@ -16,15 +16,40 @@
 //! All binaries honour the `PREFALL_*` environment overrides documented
 //! on [`prefall_core::experiment::ExperimentConfig`].
 //!
-//! The `benchdiff` binary (backed by [`diff`]) compares two
-//! `BENCH_telemetry.json` snapshots and exits non-zero on
-//! simulation-domain regressions (lead time, budget fraction, clean-leg
-//! drift) or an arming-overhead (`*speedup*`) regression — the CI gate
-//! against the committed baselines. Wall-clock speed is gated by the
-//! repo benchmark (`benchmark compare`), not here.
+//! Every binary CI runs is its own gate: it checks its bounds — each
+//! a named `const` next to the measurement, derived once from a
+//! committed run — and exits non-zero through [`fail`], naming the
+//! gate. `edge_perf` bounds the lead time against the 150 ms airbag
+//! budget; `prefall-profile`, `prefall-watch` and `prefall-drift` bound
+//! the cost of arming their observer, measured by the one
+//! [`overhead::arming_medians`] harness. Wall-clock speed is gated by
+//! the repo benchmark (`benchmark compare`), not here.
 
-pub mod diff;
 pub mod driftref;
+pub mod overhead;
+
+/// Reports a failed gate on stderr — `<binary>: FAIL (<gate>) —
+/// <detail>` — and exits with status 1.
+pub fn fail(gate: &str, detail: String) -> ! {
+    let path = std::env::args().next().unwrap_or_default();
+    let bin = path.rsplit('/').next().unwrap_or_default();
+    eprintln!("{bin}: FAIL ({gate}) — {detail}");
+    std::process::exit(1);
+}
+
+/// Fails `gate` unless `value >= floor`; a NaN fails too.
+pub fn at_least(gate: &str, what: &str, value: f64, floor: f64) {
+    if value.is_nan() || value < floor {
+        fail(gate, format!("{what} = {value:.6}, floor {floor:.6}"));
+    }
+}
+
+/// Fails `gate` unless `value <= ceiling`; a NaN fails too.
+pub fn at_most(gate: &str, what: &str, value: f64, ceiling: f64) {
+    if value.is_nan() || value > ceiling {
+        fail(gate, format!("{what} = {value:.6}, ceiling {ceiling:.6}"));
+    }
+}
 
 /// The paper's Table III values (%, macro-averaged), for side-by-side
 /// printing: `(model, window_ms, accuracy, precision, recall, f1)`.
@@ -176,9 +201,8 @@ pub mod telemetry_out {
 
     /// Like [`dump`] but writing to an arbitrary file name, for
     /// binaries whose snapshot must not clobber `BENCH_telemetry.json`
-    /// (e.g. the `robustness` sweep writes `BENCH_robustness.json` so
-    /// both can be diffed against their own baselines). Bare names are
-    /// routed into [`BENCH_OUT_DIR`].
+    /// (e.g. the `robustness` sweep writes `BENCH_robustness.json`).
+    /// Bare names are routed into [`BENCH_OUT_DIR`].
     pub fn dump_to(path: &str, bench: &str, snapshot: &Snapshot, extra: Vec<(String, JsonValue)>) {
         let path = &out_path(path);
         let mut fields = vec![("bench".to_string(), JsonValue::Str(bench.to_string()))];

@@ -273,7 +273,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 7. Spans vs. trace events — the two time lenses in this repo.
     //    A telemetry `Span` observes one scope's duration into a
     //    histogram: an *aggregate* answer (p50/p95 over thousands of
-    //    runs, cheap enough to leave on, what benchdiff gates). A
+    //    runs, cheap enough to leave on, what `/metrics` exports). A
     //    `prefall::trace` span writes begin/end events onto a
     //    *timeline*: an individual answer (where did THIS millisecond
     //    go, interleaved across threads, rendered in Perfetto). Same
