@@ -89,7 +89,8 @@ use prefall_obsd::DriftSource;
 use prefall_par::Pool;
 use prefall_telemetry::{JsonValue, Recorder};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -877,23 +878,17 @@ impl Fleet {
     /// Starts the background supervisor: every
     /// [`FleetConfig::supervise_interval`] it parks sessions idle past
     /// [`FleetConfig::idle_timeout`] and republishes the fleet gauges.
+    /// The wait between sweeps is a receive on the stop channel, so
+    /// shutdown ends it at once.
     pub fn spawn_supervisor(self: &Arc<Self>) -> Supervisor {
         let fleet = Arc::clone(self);
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread_stop = Arc::clone(&stop);
+        let (stop, stopped) = mpsc::channel();
         let handle = std::thread::Builder::new()
             .name("prefall-fleet-supervisor".to_string())
             .spawn(move || {
-                let step = Duration::from_millis(10);
-                loop {
-                    let mut waited = Duration::ZERO;
-                    while waited < fleet.cfg.supervise_interval {
-                        if thread_stop.load(Ordering::Relaxed) {
-                            return;
-                        }
-                        std::thread::sleep(step);
-                        waited += step;
-                    }
+                while stopped.recv_timeout(fleet.cfg.supervise_interval)
+                    == Err(RecvTimeoutError::Timeout)
+                {
                     fleet.reap_idle(fleet.cfg.idle_timeout);
                 }
             })
@@ -923,7 +918,7 @@ impl DriftSource for Fleet {
 /// sweep thread.
 #[derive(Debug)]
 pub struct Supervisor {
-    stop: Arc<AtomicBool>,
+    stop: mpsc::Sender<()>,
     handle: Option<JoinHandle<()>>,
 }
 
@@ -934,7 +929,7 @@ impl Supervisor {
     }
 
     fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        let _ = self.stop.send(());
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
         }
@@ -1378,5 +1373,21 @@ mod tests {
         }
         sup.shutdown();
         assert_eq!(f.stats().sessions_active, 0);
+    }
+
+    #[test]
+    fn supervisor_shutdown_does_not_wait_out_the_interval() {
+        let f = Arc::new(fleet(FleetConfig {
+            supervise_interval: Duration::from_secs(10),
+            ..FleetConfig::default()
+        }));
+        let sup = f.spawn_supervisor();
+        let start = Instant::now();
+        sup.shutdown();
+        assert!(
+            start.elapsed() < Duration::from_millis(100),
+            "shutdown took {:?}",
+            start.elapsed()
+        );
     }
 }

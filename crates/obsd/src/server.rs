@@ -20,11 +20,14 @@
 //! chunking — it binds to loopback in every shipped configuration and
 //! a real deployment would sit it behind the service mesh anyway.
 //!
-//! Every connection runs under [`ServerConfig::conn_deadline`]: a
-//! client that dials in and trickles its request one byte at a time
-//! (slowloris) is cut off when the budget runs out — the serving
-//! thread is single and serial, so one stuck socket would otherwise
-//! blind every scraper. Cut-offs are counted as `obsd.conn_timeouts`.
+//! Connections are accepted by the shared [`http::Acceptor`] and
+//! served inline on its thread, one at a time. Every connection runs
+//! under [`ServerConfig::conn_deadline`]: a client that dials in and
+//! trickles its request one byte at a time (slowloris) is cut off when
+//! the budget runs out — the serving thread is single and serial, so
+//! one stuck socket would otherwise blind every scraper. Cut-offs are
+//! counted as `obsd.conn_timeouts`, failed accepts as
+//! `obsd.accept_errors`.
 
 #![cfg_attr(
     not(test),
@@ -41,9 +44,7 @@ use prefall_telemetry::{JsonValue, Registry, Snapshot};
 use prefall_trace::LastTrace;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Exporter configuration.
@@ -105,9 +106,7 @@ pub struct Sources {
 /// thread (see [`MetricsServer::shutdown`] for the explicit form).
 #[derive(Debug)]
 pub struct MetricsServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+    acceptor: http::Acceptor,
 }
 
 impl MetricsServer {
@@ -125,80 +124,42 @@ impl MetricsServer {
         config: ServerConfig,
         sources: Sources,
     ) -> std::io::Result<Self> {
+        use prefall_telemetry::Recorder;
         let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        // Non-blocking accept so the thread can notice the stop flag
-        // without needing a wake-up connection.
-        listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread_stop = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("prefall-obsd".to_string())
-            .spawn(move || serve_loop(listener, registry, config, sources, thread_stop))?;
-        Ok(Self {
-            addr,
-            stop,
-            handle: Some(handle),
-        })
+        // Scrapes are small and rare; serving them serially on the
+        // accept thread keeps the server single-threaded and unkillable
+        // by thread exhaustion. A stuck client is bounded by the
+        // per-connection deadline.
+        let acceptor = http::Acceptor::spawn(
+            listener,
+            "prefall-obsd",
+            config.conn_deadline,
+            move |accepted| match accepted {
+                Ok(stream) => {
+                    let _ = handle_connection(stream, &registry, &config, &sources);
+                }
+                // Real accept failures (EMFILE, ECONNABORTED storms) are
+                // invisible without a counter — a scraper just sees
+                // timeouts. Count them where /metrics can see them.
+                Err(_) => registry.counter_add("obsd.accept_errors", 1),
+            },
+        )?;
+        Ok(Self { acceptor })
     }
 
     /// The bound address (resolves port `0` to the actual port).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.acceptor.addr()
     }
 
     /// Convenience base URL, e.g. `http://127.0.0.1:9898`.
     pub fn url(&self) -> String {
-        format!("http://{}", self.addr)
+        format!("http://{}", self.addr())
     }
 
     /// Stops the listener thread and waits for it to exit.
     pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for MetricsServer {
-    fn drop(&mut self) {
-        self.stop_and_join();
-    }
-}
-
-fn serve_loop(
-    listener: TcpListener,
-    registry: Arc<Registry>,
-    config: ServerConfig,
-    sources: Sources,
-    stop: Arc<AtomicBool>,
-) {
-    use prefall_telemetry::Recorder;
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                // Scrapes are small and rare; handling them serially
-                // keeps the server single-threaded and unkillable by
-                // thread exhaustion. A stuck client is bounded by the
-                // per-connection deadline.
-                let _ = handle_connection(stream, &registry, &config, &sources);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(_) => {
-                // Real accept failures (EMFILE, ECONNABORTED storms)
-                // are invisible without a counter — a scraper just sees
-                // timeouts. Count them where /metrics can see them.
-                registry.counter_add("obsd.accept_errors", 1);
-                std::thread::sleep(Duration::from_millis(20));
-            }
-        }
+        self.acceptor.shutdown();
     }
 }
 
@@ -214,8 +175,6 @@ fn handle_connection(
     let watch = sources.watch.as_deref();
     let drift = sources.drift.as_deref();
 
-    stream.set_nonblocking(false)?;
-    stream.set_write_timeout(Some(config.conn_deadline))?;
     // The whole exchange — however slowly the client dribbles it —
     // must fit in one deadline. `read_request` re-arms the socket
     // timeout with the remaining budget before every read.
@@ -236,24 +195,18 @@ fn handle_connection(
     let method = request.method.as_str();
     let path = request.path.as_str();
 
-    let mut stream = reader.into_inner();
-    if method != "GET" && method != "HEAD" {
-        return http::respond(
-            &mut stream,
-            405,
-            "Method Not Allowed",
-            TEXT,
-            "method not allowed\n",
-            method == "HEAD",
-        );
-    }
-
     // Strip any query string: `/metrics?format=…` still serves metrics.
     let (route, query) = match path.split_once('?') {
         Some((r, q)) => (r, q),
         None => (path, ""),
     };
     let (code, reason, content_type, body) = match route {
+        _ if method != "GET" && method != "HEAD" => (
+            405,
+            "Method Not Allowed",
+            TEXT,
+            "method not allowed\n".to_string(),
+        ),
         "/metrics" => (
             200,
             "OK",
@@ -359,13 +312,15 @@ fn handle_connection(
         ),
         _ => not_found("not found"),
     };
-    http::respond(
-        &mut stream,
+    http::respond_with(
+        &mut reader.into_inner(),
         code,
         reason,
         content_type,
-        &body,
+        body.as_bytes(),
         method == "HEAD",
+        false,
+        &[],
     )
 }
 
@@ -929,5 +884,43 @@ mod tests {
             Some(1)
         );
         server.shutdown();
+    }
+
+    fn default_server() -> MetricsServer {
+        MetricsServer::start(
+            "127.0.0.1:0",
+            Arc::new(Registry::new()),
+            ServerConfig::default(),
+            Sources::default(),
+        )
+        .expect("bind")
+    }
+
+    #[test]
+    fn sequential_scrapes_do_not_wait_on_the_accept_loop() {
+        let server = default_server();
+        let start = Instant::now();
+        for _ in 0..20 {
+            let (code, _) = get(server.addr(), "/healthz");
+            assert_eq!(code, 200);
+        }
+        assert!(
+            start.elapsed() < Duration::from_millis(200),
+            "20 scrapes took {:?}",
+            start.elapsed()
+        );
+        server.shutdown();
+    }
+
+    #[test]
+    fn shutdown_with_no_client_is_prompt() {
+        let server = default_server();
+        let start = Instant::now();
+        server.shutdown();
+        assert!(
+            start.elapsed() < Duration::from_millis(100),
+            "shutdown took {:?}",
+            start.elapsed()
+        );
     }
 }

@@ -72,7 +72,7 @@ pub use slo::{evaluate, SloObjective, SloSpec, SloState, SloTransition};
 pub use store::{SeriesKind, StoreConfig, TsStore};
 
 use prefall_telemetry::{JsonValue, Recorder, Registry, Value};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -393,7 +393,9 @@ impl Watch {
 
     /// Spawns the wall-clock sampling daemon: one background thread
     /// ticking every [`StoreConfig::resolution_s`] until the returned
-    /// handle is dropped or [`WatchDaemon::shutdown`] runs.
+    /// handle is dropped or [`WatchDaemon::shutdown`] runs. The wait
+    /// between ticks is a receive on the stop channel, so shutdown ends
+    /// it at once.
     pub fn spawn(self: &Arc<Self>) -> WatchDaemon {
         let watch = Arc::clone(self);
         let period = Duration::from_secs_f64(
@@ -405,21 +407,15 @@ impl Watch {
                 .resolution_s
                 .max(1e-3),
         );
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread_stop = Arc::clone(&stop);
+        let (stop, stopped) = mpsc::channel();
         let handle = std::thread::Builder::new()
             .name("prefall-watch".to_string())
             .spawn(move || {
                 let start = Instant::now();
-                while !thread_stop.load(Ordering::Relaxed) {
+                loop {
                     watch.tick_at(start.elapsed().as_secs_f64());
-                    // Sleep in small slices so shutdown is prompt even
-                    // at coarse resolutions.
-                    let mut remaining = period;
-                    while remaining > Duration::ZERO && !thread_stop.load(Ordering::Relaxed) {
-                        let slice = remaining.min(Duration::from_millis(50));
-                        std::thread::sleep(slice);
-                        remaining = remaining.saturating_sub(slice);
+                    if stopped.recv_timeout(period) != Err(RecvTimeoutError::Timeout) {
+                        return;
                     }
                 }
             })
@@ -434,7 +430,7 @@ impl Watch {
 /// A running sampling daemon; dropping it stops the thread.
 #[derive(Debug)]
 pub struct WatchDaemon {
-    stop: Arc<AtomicBool>,
+    stop: mpsc::Sender<()>,
     handle: Option<JoinHandle<()>>,
 }
 
@@ -444,7 +440,7 @@ impl WatchDaemon {
     }
 
     fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        let _ = self.stop.send(());
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
         }
@@ -764,5 +760,27 @@ mod tests {
         }
         daemon.shutdown();
         assert!(watch.ticks() >= 3, "daemon must tick");
+    }
+
+    #[test]
+    fn daemon_shutdown_does_not_wait_out_the_period() {
+        let registry = Arc::new(Registry::new());
+        let config = WatchConfig {
+            store: StoreConfig {
+                resolution_s: 10.0,
+                retention_s: 100.0,
+                max_series: 32,
+            },
+            ..WatchConfig::default()
+        };
+        let watch = Arc::new(Watch::new(registry, config));
+        let daemon = watch.spawn();
+        let start = Instant::now();
+        daemon.shutdown();
+        assert!(
+            start.elapsed() < Duration::from_millis(100),
+            "shutdown took {:?}",
+            start.elapsed()
+        );
     }
 }
