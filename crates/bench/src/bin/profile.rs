@@ -18,17 +18,12 @@
 //! decomposition of the streaming forward pass (nanoseconds per window
 //! in the fused conv, dense, … kernels).
 //!
-//! Tracing overhead is measured on the streaming detector path — one
-//! live detector, coarse-armed and disarmed window by window through
-//! [`prefall_bench::overhead::arming_medians`] — and recorded as the
-//! `trace.arming_speedup` gauge (disarmed ÷ armed median; `1.0` means
-//! free). The binary gates it itself: below `MIN_ARMING_SPEEDUP`
-//! (0.97, a ≤ 3 % overhead budget) it exits non-zero, as it does when
-//! the armed grid's cells differ from the disarmed run's. The
-//! per-layer decomposition runs as a separate leg with
+//! The per-layer decomposition runs with
 //! `prefall_trace::set_detail(true)` — per-kernel spans are opt-in
-//! exactly because they would not fit the coarse budget inside a
-//! ~30 µs forward pass.
+//! exactly because they would not fit the coarse tracing budget that
+//! `prefall-overhead` bounds inside a ~30 µs forward pass. That armed
+//! tracing leaves this grid's report bit-identical is a leg of
+//! `crates/core/tests/thread_determinism.rs`.
 //!
 //! ```text
 //! cargo run --release -p prefall-bench --bin prefall-profile
@@ -41,11 +36,11 @@
 //! `PREFALL_METRICS_ADDR` set, the trace is also served on the obsd
 //! `/trace` endpoint for the duration of the run.
 
-use prefall_bench::overhead::{arming_medians, median, probe_detector, time_classified_push};
-use prefall_bench::{at_least, fail, telemetry_out};
+use prefall_bench::overhead::{median, probe_detector, time_classified_push};
+use prefall_bench::telemetry_out;
 use prefall_core::experiment::{Experiment, ExperimentConfig, ExperimentReport};
 use prefall_core::models::ModelKind;
-use prefall_telemetry::{JsonValue, NoopRecorder, Recorder, TelemetryEnv, Value};
+use prefall_telemetry::{JsonValue, Recorder, TelemetryEnv, Value};
 use prefall_trace::{report::Attribution, EventKind, LastTrace, ThreadTimeline, Timeline};
 use std::sync::Arc;
 use std::time::Instant;
@@ -56,19 +51,10 @@ const BENCH_TRACE_PATH: &str = "BENCH_trace.json";
 /// The Perfetto-loadable export of the grid run.
 const CHROME_TRACE_PATH: &str = "BENCH_trace_chrome.json";
 
-/// Classified windows to time per overhead leg.
+/// Classified windows to time in the detail-mode leg.
 const INFER_WINDOWS: usize = 64;
 
-/// Classified windows per mode for the overhead gate. Modes alternate
-/// window by window, so both populations sample near-identical machine
-/// states and drift cancels.
-const OVERHEAD_WINDOWS: usize = 300;
-
-/// Floor on `trace.arming_speedup`: the committed ratio 1.0 × 0.97,
-/// i.e. coarse tracing may cost the classified push at most 3 %.
-const MIN_ARMING_SPEEDUP: f64 = 0.97;
-
-/// Workers for both grid legs.
+/// Workers for the grid.
 const GRID_THREADS: usize = 4;
 
 /// A reduced grid: enough cells to exercise parallel workers, folds and
@@ -237,8 +223,8 @@ fn layer_rows(attr: &Attribution, windows: u64) -> Vec<(String, u64, u64, f64)> 
         .collect()
 }
 
-/// Runs every leg and returns `trace.arming_speedup`.
-fn real_main() -> Result<f64, String> {
+/// Runs the grid and the detail-mode stream leg and writes the report.
+fn real_main() -> Result<(), String> {
     let quiet = TelemetryEnv::from_env().quiet;
     let say = |line: String| {
         if !quiet {
@@ -252,40 +238,20 @@ fn real_main() -> Result<f64, String> {
         .and_then(|v| v.parse().ok())
         .unwrap_or(1 << 18);
 
-    // Leg A: the grid with tracing disarmed — the reference wall clock.
-    rec.event(
-        "bench.phase",
-        &[
-            ("bench", Value::from("trace")),
-            ("phase", Value::from("grid_disarmed")),
-            ("threads", Value::from(GRID_THREADS)),
-        ],
-    );
-    prefall_trace::disarm();
-    let (report_disarmed, grid_disarmed_s) = run_grid(&config, &NoopRecorder)?;
-
-    // Leg B: the same grid armed. Telemetry routes to the real recorder
-    // so the dumped snapshot carries the armed leg's par.* accounting.
+    // The grid, armed. Telemetry routes to the real recorder so the
+    // dumped snapshot carries the par.* accounting.
     rec.event(
         "bench.phase",
         &[
             ("bench", Value::from("trace")),
             ("phase", Value::from("grid_armed")),
+            ("threads", Value::from(GRID_THREADS)),
         ],
     );
     prefall_trace::arm(capacity);
-    let (report_armed, grid_armed_s) = run_grid(&config, rec.as_ref())?;
+    let (report, grid_s) = run_grid(&config, rec.as_ref())?;
     prefall_trace::disarm();
     let grid_timeline: Timeline = prefall_trace::drain();
-
-    // Tracing must be an observer: same bits with the rings armed.
-    if report_disarmed.cells != report_armed.cells {
-        return Err(
-            "TRACING CHANGED RESULTS — armed grid produced different cells \
-             than the disarmed run; refusing to report"
-                .to_string(),
-        );
-    }
 
     let attr = grid_timeline.attribution();
     let split = Split::from(&attr);
@@ -318,10 +284,6 @@ fn real_main() -> Result<f64, String> {
         .ok()
     });
 
-    // Overhead on the streaming path: coarse armed (the whole-pass
-    // `nn.infer` span — what production would leave on) vs disarmed,
-    // switching every window. The resulting `trace.arming_speedup` is
-    // gated by `main` (≥ 0.97 ⇔ ≤ 3 % overhead).
     rec.event(
         "bench.phase",
         &[
@@ -329,20 +291,8 @@ fn real_main() -> Result<f64, String> {
             ("phase", Value::from("stream")),
         ],
     );
-    // The small ring keeps each switch's reset cheap; its events are
-    // discarded, not reported.
-    let (disarmed_median, armed_median) =
-        arming_medians(&mut probe_detector(1.1), OVERHEAD_WINDOWS, 1, |_, armed| {
-            if armed {
-                prefall_trace::arm(4096);
-            } else {
-                prefall_trace::disarm();
-            }
-        });
-    let _ = prefall_trace::drain();
-
     // Per-layer decomposition needs detail mode (per-kernel spans are
-    // opt-in precisely because of the overhead budget above).
+    // opt-in precisely because of the coarse overhead budget).
     prefall_trace::arm(capacity);
     prefall_trace::set_detail(true);
     let mut detail_samples = measure_stream();
@@ -350,10 +300,6 @@ fn real_main() -> Result<f64, String> {
     let stream_timeline = prefall_trace::drain();
 
     let detail_median = median(&mut detail_samples);
-    let arming_speedup = disarmed_median / armed_median;
-    registry.gauge_set("trace.arming_speedup", arming_speedup);
-    registry.gauge_set("trace.stream_armed_p50_us", armed_median * 1e6);
-    registry.gauge_set("trace.stream_disarmed_p50_us", disarmed_median * 1e6);
     registry.gauge_set("trace.stream_detail_p50_us", detail_median * 1e6);
 
     let stream_attr = stream_timeline.attribution();
@@ -367,8 +313,8 @@ fn real_main() -> Result<f64, String> {
     let snap = registry.snapshot();
     say("=== profile: wall-clock attribution (grid, armed) ===".to_string());
     say(format!(
-        "grid wall    : {grid_disarmed_s:8.2} s disarmed   {grid_armed_s:8.2} s armed   ({} cells, {GRID_THREADS} threads, bit-identical)",
-        report_armed.cells.len()
+        "grid wall    : {grid_s:8.2} s armed   ({} cells, {GRID_THREADS} threads)",
+        report.cells.len()
     ));
     say(format!(
         "traced time  : {:8.2} s across {} events on {} threads ({} dropped)",
@@ -426,11 +372,6 @@ fn real_main() -> Result<f64, String> {
     }
     say("=== profile: streaming forward pass (400 ms window) ===".to_string());
     say(format!(
-        "overhead     : armed p50 {:7.1} µs vs disarmed p50 {:7.1} µs  (arming_speedup {arming_speedup:.3}, gate ≥ {MIN_ARMING_SPEEDUP}, {OVERHEAD_WINDOWS} windows/mode, alternating)",
-        armed_median * 1e6,
-        disarmed_median * 1e6
-    ));
-    say(format!(
         "detail mode  : p50 {:7.1} µs with per-kernel spans on (opt-in, ungated)",
         detail_median * 1e6
     ));
@@ -446,18 +387,11 @@ fn real_main() -> Result<f64, String> {
         "trace",
         &snap,
         vec![
-            (
-                "grid_disarmed_wall_s".to_string(),
-                JsonValue::F64(grid_disarmed_s),
-            ),
-            (
-                "grid_armed_wall_s".to_string(),
-                JsonValue::F64(grid_armed_s),
-            ),
+            ("grid_armed_wall_s".to_string(), JsonValue::F64(grid_s)),
             ("threads".to_string(), JsonValue::U64(GRID_THREADS as u64)),
             (
                 "grid_cells".to_string(),
-                JsonValue::U64(report_armed.cells.len() as u64),
+                JsonValue::U64(report.cells.len() as u64),
             ),
             ("workers".to_string(), worker_rows(&grid_timeline)),
             (
@@ -472,17 +406,14 @@ fn real_main() -> Result<f64, String> {
             prefall_bench::telemetry_out::out_path(CHROME_TRACE_PATH)
         );
     }
-    Ok(arming_speedup)
+    Ok(())
 }
 
 fn main() {
     // All telemetry sinks (JSONL recorders flush on drop) live inside
-    // real_main, so every exit path below runs after they flushed.
-    let speedup = real_main().unwrap_or_else(|e| fail("grid", e));
-    at_least(
-        "overhead",
-        "trace.arming_speedup",
-        speedup,
-        MIN_ARMING_SPEEDUP,
-    );
+    // real_main, so the exit below runs after they flushed.
+    if let Err(e) = real_main() {
+        eprintln!("prefall-profile: {e}");
+        std::process::exit(1);
+    }
 }

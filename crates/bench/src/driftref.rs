@@ -1,15 +1,17 @@
 //! Deterministic reference-fingerprint construction for the drift
 //! monitor — the one definition of "the training distribution" shared
-//! by the `prefall-fingerprint` binary (which writes and verifies the
-//! committed `ci/drift_reference.pfdf`) and the `prefall-drift` bench
-//! (which scores clean and faulted replays against it).
+//! by the `prefall-fingerprint` binary (which writes the committed
+//! `ci/drift_reference.pfdf`), the drift tests in `tests/drift_legs.rs`
+//! (which score clean and faulted replays against it) and the drift
+//! arming leg of `prefall-overhead`.
 //!
 //! Everything here is bit-deterministic: the dataset generator is
 //! seeded, model weights are seeded, inference is the same f32 path the
-//! replay gate already proves reproducible, and the sketches accumulate
+//! replay tests already prove reproducible, and the sketches accumulate
 //! integers. Building the reference twice — on different machines, in
 //! different years — yields byte-identical `PFDF` files, which is what
-//! lets CI verify the committed artifact instead of trusting it.
+//! lets the tests below check the committed artifact instead of
+//! trusting it.
 
 use crate::overhead::probe_detector;
 use prefall_core::detector::{DetectorConfig, GuardConfig, StreamingDetector};
@@ -104,6 +106,11 @@ mod tests {
         let a = build_reference();
         let b = build_reference();
         assert_eq!(a.to_bytes(), b.to_bytes(), "two builds must be bit-equal");
+        assert!(
+            a.to_bytes() == include_bytes!("../../../ci/drift_reference.pfdf"),
+            "ci/drift_reference.pfdf does not match the rebuilt reference; \
+             regenerate it with `prefall-fingerprint write ci/drift_reference.pfdf`"
+        );
         assert!(a.samples() > 1000, "samples {}", a.samples());
         assert!(a.windows() > 0, "windows folded");
         assert_eq!(

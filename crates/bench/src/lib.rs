@@ -9,46 +9,170 @@
 //! | `table3` | Table III: model × window segment-level comparison |
 //! | `table4` | Table IV: event-level misclassification per task |
 //! | `figure1` | Fig. 1: annotated fall-stage timeline |
-//! | `edge_perf` | §IV-C: quantization + STM32F722 deployment envelope |
+//! | `edge_perf` | §IV-C: quantization + STM32F722 deployment envelope, lead time against the 150 ms budget |
 //! | `sweep_windows` | §III-A: window × overlap grid |
 //! | `ablations` | DESIGN.md ablation suite |
+//! | `prefall-profile` | where the grid's wall clock goes: attribution split, per-worker utilization, Chrome trace |
+//! | `prefall-overhead` | what arming tracing, the watch daemon and the drift tap costs a classified push |
+//! | `prefall-replay` | record and inspect flight-recorder incident dumps |
+//! | `prefall-fingerprint` | write and inspect the drift reference fingerprint |
 //!
 //! All binaries honour the `PREFALL_*` environment overrides documented
 //! on [`prefall_core::experiment::ExperimentConfig`].
 //!
-//! Every binary CI runs is its own gate: it checks its bounds — each
-//! a named `const` next to the measurement, derived once from a
-//! committed run — and exits non-zero through [`fail`], naming the
-//! gate. `edge_perf` bounds the lead time against the 150 ms airbag
-//! budget; `prefall-profile`, `prefall-watch` and `prefall-drift` bound
-//! the cost of arming their observer, measured by the one
-//! [`overhead::arming_medians`] harness. Wall-clock speed is gated by
-//! the repo benchmark (`benchmark compare`), not here.
+//! The correctness bounds on what these binaries report — lead time,
+//! the robustness sweep, the watch alert timeline, the drift legs —
+//! are release-mode tests under `tests/`, sharing this library's
+//! helpers ([`TrainedCnn`], [`watch_slos`], [`driftref`]). Only
+//! `prefall-overhead` gates by exit code: its three arming ratios are
+//! timings, measured by the one [`overhead::arming_medians`] harness.
+//! Wall-clock speed is gated by the repo benchmark (`benchmark
+//! compare`), not here.
 
 pub mod driftref;
 pub mod overhead;
 
-/// Reports a failed gate on stderr — `<binary>: FAIL (<gate>) —
-/// <detail>` — and exits with status 1.
-pub fn fail(gate: &str, detail: String) -> ! {
-    let path = std::env::args().next().unwrap_or_default();
-    let bin = path.rsplit('/').next().unwrap_or_default();
-    eprintln!("{bin}: FAIL ({gate}) — {detail}");
-    std::process::exit(1);
+use prefall_core::cv::{subject_folds, train_on_sets, CvConfig};
+use prefall_core::models::ModelKind;
+use prefall_core::pipeline::{Pipeline, PipelineConfig, SegmentSet};
+use prefall_dsp::stats::Normalizer;
+use prefall_imu::dataset::{Dataset, DatasetConfig};
+use prefall_nn::network::Network;
+use prefall_nn::quant::QuantizedNetwork;
+use prefall_telemetry::Recorder;
+use prefall_watch::{SloObjective, SloSpec};
+
+/// The proposed CNN trained on the first subject fold of a seeded
+/// dataset at the paper's 400 ms window: the model `edge_perf` deploys
+/// and the lead-time and robustness tests stream.
+pub struct TrainedCnn {
+    /// The generated dataset; every trial is streamed afterwards.
+    pub dataset: Dataset,
+    /// The 400 ms paper pipeline the sets were segmented with.
+    pub pipeline: Pipeline,
+    /// The trained float network.
+    pub net: Network,
+    /// Normaliser fitted on the un-augmented training set.
+    pub norm: Normalizer,
+    /// The fold's training segments, un-augmented and un-normalised.
+    pub train_set: SegmentSet,
+    /// The fold's held-out test segments, un-normalised.
+    pub test_set: SegmentSet,
 }
 
-/// Fails `gate` unless `value >= floor`; a NaN fails too.
-pub fn at_least(gate: &str, what: &str, value: f64, floor: f64) {
-    if value.is_nan() || value < floor {
-        fail(gate, format!("{what} = {value:.6}, floor {floor:.6}"));
+impl TrainedCnn {
+    /// Generates `dataset`, splits it into two subject folds (one
+    /// validation subject) and trains on the first with
+    /// [`CvConfig::paper_scaled`]`(8)` — or `epochs`, when given —
+    /// from weight seed `seed`.
+    ///
+    /// # Panics
+    ///
+    /// When the dataset, the folds or the training fail; every caller
+    /// passes a configuration known to train.
+    pub fn train(
+        dataset: &DatasetConfig,
+        epochs: Option<usize>,
+        seed: u64,
+        rec: &dyn Recorder,
+    ) -> Self {
+        let mut cv = CvConfig::paper_scaled(8);
+        cv.folds = 2;
+        cv.val_subjects = 1;
+        if let Some(epochs) = epochs {
+            cv.epochs = epochs;
+        }
+        let dataset = Dataset::generate(dataset).expect("dataset");
+        let pipeline = Pipeline::new(PipelineConfig::paper_400ms()).expect("pipeline");
+        let full = pipeline.segment_set_recorded(dataset.trials(), rec);
+        let splits = subject_folds(&dataset.subject_ids(), cv.folds, cv.val_subjects, cv.seed)
+            .expect("folds");
+        let split = &splits[0];
+        let train_set = full.filter_subjects(&split.train);
+        let val_set = full.filter_subjects(&split.val);
+        let test_set = full.filter_subjects(&split.test);
+        let (net, _preds, _epochs) = train_on_sets(
+            &pipeline,
+            train_set.clone(),
+            val_set,
+            test_set.clone(),
+            ModelKind::ProposedCnn,
+            &cv,
+            seed,
+            rec,
+        )
+        .expect("training");
+        // Re-derive the normaliser on the raw training set (train_on_sets
+        // fits its own on the augmented one; for streaming and
+        // calibration the raw one is what a device would ship).
+        let norm = pipeline.fit_normalizer(&train_set);
+        Self {
+            dataset,
+            pipeline,
+            net,
+            norm,
+            train_set,
+            test_set,
+        }
+    }
+
+    /// The int8 network, calibrated on the first 256 normalised
+    /// training windows.
+    ///
+    /// # Panics
+    ///
+    /// When quantization fails.
+    pub fn quantize(&mut self) -> QuantizedNetwork {
+        let calib: Vec<Vec<f32>> = self.train_set.x[..self.train_set.x.len().min(256)]
+            .iter()
+            .map(|x| self.norm.apply(x))
+            .collect();
+        QuantizedNetwork::from_network(&mut self.net, &calib).expect("quantization")
     }
 }
 
-/// Fails `gate` unless `value <= ceiling`; a NaN fails too.
-pub fn at_most(gate: &str, what: &str, value: f64, ceiling: f64) {
-    if value.is_nan() || value > ceiling {
-        fail(gate, format!("{what} = {value:.6}, ceiling {ceiling:.6}"));
-    }
+/// The SLOs the watch alert-timeline test replays and the watch arming
+/// leg of `prefall-overhead` samples: tight windows, so a 600 s replay
+/// covers fire + refractory + resolve with margin.
+pub fn watch_slos() -> Vec<SloSpec> {
+    vec![
+        SloSpec::new(
+            "fa_rate",
+            SloObjective::CounterRateCeiling {
+                counter: "detector.false_activations".into(),
+                per_seconds: 3600.0,
+                max: 30.0,
+            },
+        )
+        .windows(120.0, 30.0)
+        .burn(2.0, 1.0)
+        .hold(60.0, 30.0)
+        .quality(),
+        SloSpec::new(
+            "degraded_rate",
+            SloObjective::RatioCeiling {
+                num: "guard.degraded_samples".into(),
+                den: "guard.samples".into(),
+                max: 0.05,
+                min_den: 100.0,
+            },
+        )
+        .windows(120.0, 30.0)
+        .burn(2.0, 1.0)
+        .hold(60.0, 30.0),
+        SloSpec::new(
+            "ingest_p99",
+            SloObjective::QuantileCeiling {
+                histogram: "detector.push_sample_seconds".into(),
+                q: 0.99,
+                max: 5e-3,
+                min_count: 100.0,
+            },
+        )
+        .windows(120.0, 30.0)
+        .burn(2.0, 1.0)
+        .hold(60.0, 30.0),
+    ]
 }
 
 /// The paper's Table III values (%, macro-averaged), for side-by-side
@@ -201,7 +325,7 @@ pub mod telemetry_out {
 
     /// Like [`dump`] but writing to an arbitrary file name, for
     /// binaries whose snapshot must not clobber `BENCH_telemetry.json`
-    /// (e.g. the `robustness` sweep writes `BENCH_robustness.json`).
+    /// (e.g. `prefall-profile` writes `BENCH_trace.json`).
     /// Bare names are routed into [`BENCH_OUT_DIR`].
     pub fn dump_to(path: &str, bench: &str, snapshot: &Snapshot, extra: Vec<(String, JsonValue)>) {
         let path = &out_path(path);

@@ -1,6 +1,6 @@
 //! The one armed-vs-disarmed overhead harness behind the three arming
-//! legs: `prefall-profile` (coarse tracing), `prefall-watch` (the
-//! sampling daemon) and `prefall-drift` (the drift tap).
+//! legs of `prefall-overhead`: coarse tracing, the watch sampling
+//! daemon and the drift tap.
 //!
 //! Each leg times classified pushes on ONE live detector and switches
 //! its observer on and off between blocks of `round` windows, outside

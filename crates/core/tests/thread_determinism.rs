@@ -5,7 +5,9 @@
 //! the outcome is **bit-identical** for any thread count (independent
 //! seeded tasks, index-ordered collection, per-sample gradient slots).
 //! The blocked/fused kernels must not change results either: the grid
-//! run on the naive reference kernels gives the same report.
+//! run on the naive reference kernels gives the same report. Nor may
+//! tracing: the grid `prefall-profile` traces gives the same cells
+//! with the trace rings armed.
 
 use prefall_core::experiment::{Experiment, ExperimentConfig};
 use prefall_core::models::ModelKind;
@@ -98,6 +100,35 @@ fn explicit_thread_override_does_not_change_results() {
     config.threads = None;
     let default = Experiment::new(config).run_recorded(&NoopRecorder).unwrap();
     assert_eq!(overridden, default);
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release gate")]
+fn armed_tracing_never_changes_the_profiled_grid() {
+    // The grid `prefall-profile` traces, at the epochs it runs with.
+    let mut config = ExperimentConfig::fast();
+    config.dataset.kfall_subjects = 3;
+    config.dataset.self_collected_subjects = 3;
+    config.windows_ms = vec![200.0, 400.0];
+    config.models = vec![ModelKind::Mlp, ModelKind::ProposedCnn];
+    config.cv.epochs = 2;
+    config.threads = Some(4);
+
+    prefall_trace::disarm();
+    let disarmed = Experiment::new(config.clone())
+        .run_recorded(&NoopRecorder)
+        .unwrap();
+    // Process-wide, like the reference-kernel switch: spans of tests
+    // running alongside land in the rings too, and are discarded.
+    prefall_trace::arm(1 << 18);
+    let armed = Experiment::new(config).run_recorded(&Registry::new());
+    prefall_trace::disarm();
+    let timeline = prefall_trace::drain();
+    let armed = armed.unwrap();
+
+    assert!(timeline.event_count() > 0, "the armed grid recorded spans");
+    assert_eq!(armed.cells.len(), 4);
+    assert_eq!(disarmed.cells, armed.cells, "tracing changed the report");
 }
 
 #[test]

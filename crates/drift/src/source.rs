@@ -71,8 +71,7 @@ pub fn drift_doc(reference: Option<&Fingerprint>, live: &Fingerprint, alarm_psi:
     JsonValue::Obj(fields)
 }
 
-/// Re-exported convenience: the document for a [`DriftScore`] alone
-/// (the bench snapshot embeds one).
+/// Re-exported convenience: the document for a [`DriftScore`] alone.
 pub fn score_json(score: &DriftScore) -> JsonValue {
     JsonValue::Obj(vec![
         f64_field("input_psi", score.input_psi),

@@ -22,8 +22,8 @@
 //!   [`StreamingDetector::push_missing`];
 //! * [`net`] — the transport-level counterpart ([`NetFaultPlan`]):
 //!   stalls, partial writes, reorder/duplicate delivery, mid-batch
-//!   disconnects and reconnect storms, acted out by the fleet bench's
-//!   chaos load generator.
+//!   disconnects and reconnect storms, acted out by the fleet's chaos
+//!   test (`crates/fleet/tests/tcp_chaos.rs`).
 //!
 //! [`Trial`]: prefall_imu::trial::Trial
 //! [`StreamingDetector`]: prefall_core::detector::StreamingDetector

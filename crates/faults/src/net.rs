@@ -11,7 +11,7 @@
 //! and two streams driven by the same plan never share randomness.
 //!
 //! The plan does not touch sockets itself: a load generator (the
-//! `prefall-fleet` bench chaos leg) asks for the [`NetActions`] of
+//! fleet's TCP chaos test) asks for the [`NetActions`] of
 //! each `(connection, batch)` pair and acts them out against a real
 //! server — sleeping through a stall, splitting a write, swapping or
 //! re-sending batches, or dropping the connection and reconnecting.
@@ -151,9 +151,9 @@ impl NetFaultPlan {
         self.faults.is_empty()
     }
 
-    /// The chaos-leg storm used by the fleet bench: every transport
-    /// fault at rates high enough to hit most streams within a few
-    /// hundred batches, low enough that streams still make progress.
+    /// The storm of the fleet's TCP chaos test: every transport fault
+    /// at rates high enough to hit most streams within a few hundred
+    /// batches, low enough that streams still make progress.
     pub fn storm(seed: u64) -> Self {
         Self::new(seed)
             .with(NetFault::Stall { rate: 0.01, ms: 30 })

@@ -211,7 +211,7 @@ struct Totals {
     evicted: AtomicU64,
 }
 
-/// Aggregated fleet state for `/fleet` and the bench gates.
+/// Aggregated fleet state for `/fleet` and the fleet tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FleetStats {
     /// Wearers with a live session.
@@ -1146,21 +1146,32 @@ mod tests {
     #[test]
     fn shed_mode_keeps_cadence_and_degrades_the_trigger() {
         let f = fleet(FleetConfig::default());
-        let batches = vec![batch_for(4, 0, 200)];
-        let replies = f.ingest_many_with(&batches, true);
-        let r = &replies[0];
-        assert!(r.shed);
-        assert_eq!(r.windows, 0, "no inference under shed");
-        assert!(r.shed_windows > 0, "cadence still counted");
-        assert!(r.probs_bits.is_empty());
-        assert_eq!(f.stats().shed_windows, r.shed_windows);
-        assert_eq!(f.stats().shed_batches, 1);
+        // 8 wearers x 200 ticks, forced shed, in 40-tick waves.
+        let (wearers, ticks, wave_len) = (8u64, 200u64, 40usize);
+        let mut replied_shed = 0u64;
+        for seq in (0..ticks).step_by(wave_len) {
+            let wave: Vec<IngestBatch> =
+                (0..wearers).map(|w| batch_for(w, seq, wave_len)).collect();
+            for r in f.ingest_many_with(&wave, true) {
+                assert!(r.shed);
+                assert_eq!(r.windows, 0, "no inference under shed");
+                assert!(r.probs_bits.is_empty());
+                replied_shed += r.shed_windows;
+            }
+        }
+        assert!(replied_shed > 0, "cadence still counted");
+        assert_eq!(f.stats().shed_windows, replied_shed);
+        assert_eq!(f.stats().shed_batches, wearers * ticks / wave_len as u64);
 
-        // Recovery: the same wearer continues on the grid with
+        // Recovery: the same wearers continue on the grid with
         // inference restored.
-        let replies = f.ingest_many_with(&[batch_for(4, 200, 100)], false);
-        assert!(replies[0].windows > 0);
-        assert!(!replies[0].shed);
+        let wave: Vec<IngestBatch> = (0..wearers)
+            .map(|w| batch_for(w, ticks, wave_len))
+            .collect();
+        for r in f.ingest_many_with(&wave, false) {
+            assert!(r.windows > 0);
+            assert!(!r.shed);
+        }
     }
 
     #[test]
@@ -1302,7 +1313,7 @@ mod tests {
                 threads: Some(threads),
                 ..FleetConfig::default()
             });
-            for start in (0..200u64).step_by(25) {
+            for start in (0..600u64).step_by(25) {
                 let batches: Vec<IngestBatch> = (0..9).map(|w| batch_for(w, start, 25)).collect();
                 let _ = f.ingest_many(&batches);
             }

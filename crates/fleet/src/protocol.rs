@@ -155,8 +155,8 @@ impl IngestStatus {
 }
 
 /// The per-batch reply. `probs_bits` carries each emitted window
-/// probability as `f32::to_bits` so clients (and the bench's
-/// bit-identity gate) compare exactly, immune to float formatting.
+/// probability as `f32::to_bits` so clients (and the TCP tests'
+/// bit-identity checks) compare exactly, immune to float formatting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IngestReply {
     /// Echoed wearer identity.

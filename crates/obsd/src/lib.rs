@@ -41,8 +41,9 @@
 //! # }
 //! ```
 //!
-//! Every bench binary honours `PREFALL_METRICS_ADDR=<addr>` (parsed by
-//! [`prefall_telemetry::TelemetryEnv`]) and starts this exporter on the
+//! The `edge_perf` and `prefall-profile` bench binaries honour
+//! `PREFALL_METRICS_ADDR=<addr>` (parsed by
+//! [`prefall_telemetry::TelemetryEnv`]) and start this exporter on the
 //! given address for the duration of the run.
 //!
 //! [`Snapshot`]: prefall_telemetry::Snapshot

@@ -372,13 +372,6 @@ impl Watch {
         self.inner.lock().expect("watch poisoned").ticks
     }
 
-    /// Runs `f` against the store under the lock (windowed queries in
-    /// tests and benches without cloning series out).
-    pub fn with_store<T>(&self, f: impl FnOnce(&TsStore) -> T) -> T {
-        let inner = self.inner.lock().expect("watch poisoned");
-        f(&inner.store)
-    }
-
     /// Lifetime alert transitions `(fired, resolved)`.
     pub fn alert_totals(&self) -> (u64, u64) {
         let inner = self.inner.lock().expect("watch poisoned");

@@ -419,8 +419,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The reference: stream healthy motion through a monitored
     // detector and export its lifetime fingerprint. Everything is
     // seeded and integer-binned, so a rebuild is byte-identical — the
-    // repo commits one as ci/drift_reference.pfdf and CI re-derives it
-    // (`prefall-fingerprint verify`).
+    // repo commits one as ci/drift_reference.pfdf and a test re-derives
+    // it byte for byte (`prefall_bench::driftref`).
     let build_reference = || -> Result<prefall::drift::Fingerprint, Box<dyn std::error::Error>> {
         let mut det = drift_detector()?;
         let handle = prefall::drift::DriftMonitor::install(&mut det, Default::default());
@@ -482,8 +482,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // WatchConfig carries input_drift (mean drift.input_psi ≤ 0.25)
     // and score_drift (mean drift.score_shift ≤ 0.15) quality SLOs,
     // so sustained drift burns through the budget, flips /healthz, and
-    // captures a blackbox incident — the chain the `prefall-drift`
-    // bench replays end to end. The same state is served over HTTP:
+    // captures a blackbox incident — the chain the drift tests in
+    // prefall-bench replay end to end. The same state is served over HTTP:
     // a DriftHandle is a DriftSource, and the fleet registry serves
     // per-tenant views at /drift?tenant=<id>.
     let drift_server = prefall::obsd::MetricsServer::start(

@@ -107,7 +107,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 6. What does arming cost where it matters — the streaming
     //    detector's real-time path? Coarse mode adds one whole-pass
     //    span per classified window (the ≤ 3 % budget CI gates via
-    //    prefall-profile); detail mode adds a span per kernel and is
+    //    prefall-overhead); detail mode adds a span per kernel and is
     //    opt-in for exactly that reason.
     println!("\n== 6. arming cost on the streaming path ==");
     let det_cfg = DetectorConfig {

@@ -215,6 +215,15 @@ fn incident_source_serves_replayable_dumps() {
     assert_eq!(flight.latest().unwrap().kind, IncidentKind::HealthDegraded);
 }
 
+/// The committed fixture embeds its own model bundle and raw input
+/// stream: replay reproduces the recorded score trajectory bit for bit
+/// (`f32::to_bits`, no epsilon) and every trigger flag.
+#[test]
+fn committed_golden_incident_replays_bit_exact() {
+    let dump = IncidentDump::from_bytes(include_bytes!("../ci/golden_incident.pfbb")).unwrap();
+    assert_replays_bit_exact(&dump);
+}
+
 /// The deployed int8 engine, quantized from the golden incident's own
 /// float network and calibrated on the golden stream's own normalised
 /// windows, scores that stream within a fixed bound of the float
