@@ -37,10 +37,10 @@ const MIN_TRACE_SPEEDUP: f64 = 0.97;
 /// Floor on `watch.arming_speedup`: the committed ratio 0.98912 × 0.97.
 const MIN_WATCH_SPEEDUP: f64 = 0.9891159753295442 * 0.97;
 
-/// Floor on `drift.arming_speedup`: the committed ratio 0.82 × 0.97.
-/// The ratio reads 0.82–0.9 run to run since the packed-kernel
-/// workspace path cut the unarmed classified push from ~31 µs to
-/// ~14 µs: the tap's ~3 µs is a larger slice of a cheaper push.
+/// Floor on `drift.arming_speedup`: the committed ratio 0.82 × 0.97,
+/// committed when the tap cost ~3 µs of a ~16 µs classified push. With
+/// the branch attribution taken in one lockstep pass the tap costs
+/// ~1 µs of a ~10.5 µs push, and the ratio reads ~0.92.
 const MIN_DRIFT_SPEEDUP: f64 = 0.82 * 0.97;
 
 /// One arming leg: its `(disarmed, armed)` median push times, in

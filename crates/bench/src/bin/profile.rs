@@ -21,7 +21,7 @@
 //! The per-layer decomposition runs with
 //! `prefall_trace::set_detail(true)` — per-kernel spans are opt-in
 //! exactly because they would not fit the coarse tracing budget that
-//! `prefall-overhead` bounds inside a ~30 µs forward pass. That armed
+//! `prefall-overhead` bounds inside a ~10 µs forward pass. That armed
 //! tracing leaves this grid's report bit-identical is a leg of
 //! `crates/core/tests/thread_determinism.rs`.
 //!

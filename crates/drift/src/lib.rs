@@ -71,7 +71,7 @@ pub mod source;
 pub use fingerprint::{compare, DriftScore, Fingerprint};
 pub use monitor::{DriftConfig, DriftHandle, DriftMonitor};
 pub use sketch::{psi, quantile_shift, AxisSketch, FeatureRange};
-pub use source::{drift_doc, score_json};
+pub use source::drift_doc;
 
 /// Errors produced while decoding fingerprint bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]

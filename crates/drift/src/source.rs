@@ -3,9 +3,7 @@
 //! [`DriftHandle`] (this module's [`DriftSource`] impl) and the fleet
 //! registry (which builds the same document per tenant).
 
-use crate::fingerprint::{
-    compare, DriftScore, Fingerprint, INPUT_AXES, INPUT_NAMES, INPUT_RANGES, UNIT_RANGE,
-};
+use crate::fingerprint::{compare, Fingerprint, INPUT_AXES, INPUT_NAMES, INPUT_RANGES, UNIT_RANGE};
 use crate::monitor::DriftHandle;
 use crate::sketch::psi;
 use prefall_obsd::DriftSource;
@@ -69,18 +67,6 @@ pub fn drift_doc(reference: Option<&Fingerprint>, live: &Fingerprint, alarm_psi:
         fields.push(f64_field("score_p50", p50));
     }
     JsonValue::Obj(fields)
-}
-
-/// Re-exported convenience: the document for a [`DriftScore`] alone.
-pub fn score_json(score: &DriftScore) -> JsonValue {
-    JsonValue::Obj(vec![
-        f64_field("input_psi", score.input_psi),
-        f64_field("score_psi", score.score_psi),
-        f64_field("attribution_psi", score.attribution_psi),
-        f64_field("input_shift", score.input_shift),
-        f64_field("score_shift", score.score_shift),
-        ("samples".to_string(), JsonValue::U64(score.samples)),
-    ])
 }
 
 impl DriftSource for DriftHandle {

@@ -2,14 +2,28 @@
 //! implementations they accelerate.
 //!
 //! Every kernel here preserves the **per-output accumulation order** of
-//! the naive layer code: each output starts from its bias and adds
-//! `w[j] * x[j]` for `j` ascending, ReLU is `x.max(0.0)`, and max-pool
-//! compares candidates in tap order starting from `f32::NEG_INFINITY`.
-//! Register blocking only interleaves *independent* accumulators, so no
-//! float operation is reassociated and every kernel is exactly
-//! `f32::to_bits`-identical to its reference — the blackbox replay
-//! suite and `forward_traced_into` rely on this, and the proptests in
-//! `crates/nn/tests/conv_kernels.rs` assert it over random shapes.
+//! the naive layer code: each output starts from its bias (dense: from
+//! `0.0`, the bias added last) and adds `w[j] * x[j]` for `j`
+//! ascending, ReLU is `x.max(0.0)`, and max-pool compares candidates in
+//! tap order starting from `f32::NEG_INFINITY`. Register blocking only
+//! interleaves *independent* accumulators, so no float operation is
+//! reassociated and every kernel is exactly `f32::to_bits`-identical to
+//! its reference — the blackbox replay suite and `forward_traced_into`
+//! rely on this, and the proptests in `crates/nn/tests/conv_kernels.rs`
+//! assert it over random shapes. The one latitude is a NaN output's
+//! sign and payload, which Rust leaves unspecified; it is NaN in both.
+//!
+//! The fast kernels read weights from a pack ([`pack_conv_weights`],
+//! [`pack_dense_weights`]): groups of eight outputs, their weights side
+//! by side per input index and zero-padded to a whole group, so the
+//! inner loop is eight-lane multiply-then-add with no remainder path.
+//! Each eight-lane group is two four-wide SIMD chains, and a float add
+//! takes several cycles, so one group alone waits on its own latency.
+//! The kernels therefore feed several groups (and conv time steps) from
+//! each input load: the dense kernel four groups per pass over the
+//! input, the conv kernels two groups × two time steps. The pack
+//! interleaves the groups a pass shares, so a pass reads its weights as
+//! one contiguous run, zipped with the input without an index check.
 //!
 //! The [`set_reference_kernels`] switch forces the naive reference
 //! paths process-wide. `crates/core/tests/thread_determinism.rs` runs
@@ -34,9 +48,12 @@ pub fn reference_kernels() -> bool {
     REFERENCE_KERNELS.load(Ordering::Relaxed)
 }
 
+/// Outputs per weight group in a pack.
+const G: usize = 8;
+
+/// Checks a conv's input and bias lengths; returns the output steps.
 fn check_conv_dims(
     input: &[f32],
-    weights: &[f32],
     biases: &[f32],
     time: usize,
     in_ch: usize,
@@ -44,15 +61,9 @@ fn check_conv_dims(
     kernel: usize,
 ) -> usize {
     assert!(kernel >= 1 && kernel <= time, "conv kernel/time mismatch");
-    let t_out = time - kernel + 1;
     assert_eq!(input.len(), time * in_ch, "conv input length");
-    assert_eq!(
-        weights.len(),
-        filters * kernel * in_ch,
-        "conv weight length"
-    );
     assert_eq!(biases.len(), filters, "conv bias length");
-    t_out
+    time - kernel + 1
 }
 
 /// The naive triple loop — the reference every other conv kernel is
@@ -68,9 +79,10 @@ pub fn conv1d_reference(
     kernel: usize,
     out: &mut [f32],
 ) {
-    let t_out = check_conv_dims(input, weights, biases, time, in_ch, filters, kernel);
-    assert_eq!(out.len(), t_out * filters, "conv output length");
+    let t_out = check_conv_dims(input, biases, time, in_ch, filters, kernel);
     let (c, k) = (in_ch, kernel);
+    assert_eq!(weights.len(), filters * k * c, "conv weight length");
+    assert_eq!(out.len(), t_out * filters, "conv output length");
     for t in 0..t_out {
         let window = &input[t * c..(t + k) * c];
         for f in 0..filters {
@@ -84,51 +96,111 @@ pub fn conv1d_reference(
     }
 }
 
-/// Repacks a conv (or any `[F × taps]` row-major) weight tensor into
-/// the filter-interleaved layout the blocked kernels consume: groups of
-/// eight filters, tap-major within the group (`packed[j·8 + l]` = tap
-/// `j` of the group's filter `l`). Remainder filters (`F % 8`) are not
-/// packed — the kernels read them from the raw weights. One pass over
-/// `F·K·C` floats; layers cache the result against a weight revision so
-/// steady-state inference never repacks (or allocates).
-pub fn pack_conv_weights(weights: &[f32], in_ch: usize, filters: usize, kernel: usize) -> Vec<f32> {
-    let kc = kernel * in_ch;
-    const G: usize = 8;
-    let groups = filters / G;
-    assert!(weights.len() >= filters * kc, "conv weight length");
-    let mut packed = vec![0.0f32; groups * kc * G];
-    for g in 0..groups {
-        let dst = &mut packed[g * kc * G..(g + 1) * kc * G];
-        for l in 0..G {
-            let src = &weights[(g * G + l) * kc..(g * G + l + 1) * kc];
-            for (j, &w) in src.iter().enumerate() {
-                dst[j * G + l] = w;
-            }
+/// Transposes a row-major `[rows × cols]` matrix into groups of eight
+/// rows, the last group zero-padded to eight, for kernels that run `B`
+/// groups per pass. Groups go in blocks of `B`, and within a block the
+/// groups' eight lanes sit side by side per column: column `j` of row
+/// `(b·B + n)·8 + l` is at `b·B·cols·8 + (j·B + n)·8 + l`. Groups past
+/// the last whole block follow one at a time (`B = 1`).
+fn pack_rows<const B: usize>(weights: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+    assert_eq!(weights.len(), rows * cols, "weight length");
+    let blocked = rows.div_ceil(G) / B * B;
+    let mut packed = vec![0.0f32; rows.div_ceil(G) * cols * G];
+    for r in 0..rows {
+        let g = r / G;
+        let (block, width) = if g < blocked { (g / B * B, B) } else { (g, 1) };
+        let dst = &mut packed[block * cols * G + (g - block) * G + r % G..];
+        for (j, &w) in weights[r * cols..(r + 1) * cols].iter().enumerate() {
+            dst[j * width * G] = w;
         }
     }
     packed
 }
 
-/// Register-blocked conv over the implicit im2col matrix, with the
-/// weights repacked filter-interleaved per call.
-///
-/// Because the input is time-major, the K·C patch for output step `t`
-/// is the contiguous slice `input[t·C .. t·C + K·C]` — im2col needs no
-/// materialisation. The weight tensor is first transposed into groups
-/// of eight filters with tap-major layout (`packed[j·8 + l]` = tap `j`
-/// of filter `l`), one pass over `F·K·C` floats. That turns the hot
-/// loop's weight access into contiguous eight-lane loads with the
-/// input value broadcast across lanes, which the compiler vectorises
-/// as elementwise multiply-then-add. Each lane is one filter's own
-/// accumulator summing `j` in ascending order, and Rust never fuses
-/// multiply-add, so every output's rounding sequence is exactly the
-/// reference chain.
+/// Filter groups per pass of the conv kernels, and per block of their
+/// pack.
+const CONV_BLOCK: usize = 2;
+
+/// Output groups per pass of the dense kernel, and per block of its
+/// pack.
+const DENSE_BLOCK: usize = 4;
+
+/// Packs a conv weight tensor `[F × K × C]` for the blocked kernels:
+/// `⌈F / 8⌉` groups of eight filters, the last one's missing filters
+/// zero, tap-major, pairs of groups interleaved per tap (see
+/// `pack_rows`). One pass over `F·K·C` floats; layers cache the result
+/// against a weight revision so steady-state inference never repacks
+/// (or allocates).
+pub fn pack_conv_weights(weights: &[f32], in_ch: usize, filters: usize, kernel: usize) -> Vec<f32> {
+    pack_rows::<CONV_BLOCK>(weights, filters, kernel * in_ch)
+}
+
+/// Packs a row-major `[out × in]` dense weight matrix for
+/// [`dense_forward_packed`]: `⌈out / 8⌉` groups of eight outputs, the
+/// last one zero-padded, input-major, blocks of four groups interleaved
+/// per input index (see `pack_rows`). Packing costs one pass over the
+/// matrix — the same work as a single mat-vec — so it only pays when
+/// the pack is reused across many forward calls (the
+/// [`crate::layers::Dense`] layer caches it against a weight revision
+/// counter).
+pub fn pack_dense_weights(weights: &[f32], in_len: usize, out_len: usize) -> Vec<f32> {
+    pack_rows::<DENSE_BLOCK>(weights, out_len, in_len)
+}
+
+/// The eight biases of the group starting at output `o`; lanes past the
+/// last output are zero (their results are never stored).
+#[inline(always)]
+fn bias_lanes(biases: &[f32], o: usize) -> [f32; G] {
+    let mut lanes = [0.0f32; G];
+    let src = &biases[o..biases.len().min(o + G)];
+    lanes[..src.len()].copy_from_slice(src);
+    lanes
+}
+
+/// The block of `N` groups from group `g0` of a [`pack_rows`] pack
+/// with `len` rows per group: per row, the groups' eight lanes each.
+#[inline(always)]
+fn block_rows<const N: usize>(rows: &[[f32; G]], g0: usize, len: usize) -> &[[[f32; G]; N]] {
+    rows[g0 * len..][..N * len].as_chunks::<N>().0
+}
+
+/// Conv outputs of `N` filter groups at two time steps, whose K·C
+/// patches are `x0` and `x1`: every lane starts from its bias and adds
+/// `w[j]·x[j]` for `j` ascending, `4·N` independent SIMD chains sharing
+/// each weight load.
+#[inline(always)]
+fn conv_two_steps<const N: usize>(
+    w: &[[[f32; G]; N]],
+    b: &[[f32; G]; N],
+    x0: &[f32],
+    x1: &[f32],
+) -> ([[f32; G]; N], [[f32; G]; N]) {
+    let (mut a0, mut a1) = (*b, *b);
+    for ((&v0, &v1), wj) in x0.iter().zip(x1).zip(w) {
+        for n in 0..N {
+            for l in 0..G {
+                a0[n][l] += wj[n][l] * v0;
+                a1[n][l] += wj[n][l] * v1;
+            }
+        }
+    }
+    (a0, a1)
+}
+
+/// Register-blocked conv over a [`pack_conv_weights`] pack: the
+/// training forward's kernel (the layer caches the pack). Two filter
+/// groups × two time steps per pass over the K·C patch; because the
+/// input is time-major, the patch for step `t` is the contiguous slice
+/// `input[t·C .. t·C + K·C]`, so im2col needs no materialisation. Each
+/// lane is one filter's own accumulator summing `j` in ascending order
+/// from its bias, and Rust never fuses multiply-add, so every output's
+/// rounding sequence is exactly the reference chain.
 ///
 /// Bit-identical to [`conv1d_reference`].
 #[allow(clippy::too_many_arguments)]
 pub fn conv1d_blocked(
     input: &[f32],
-    weights: &[f32],
+    packed: &[f32],
     biases: &[f32],
     time: usize,
     in_ch: usize,
@@ -136,71 +208,55 @@ pub fn conv1d_blocked(
     kernel: usize,
     out: &mut [f32],
 ) {
-    let t_out = check_conv_dims(input, weights, biases, time, in_ch, filters, kernel);
+    let t_out = check_conv_dims(input, biases, time, in_ch, filters, kernel);
     assert_eq!(out.len(), t_out * filters, "conv output length");
-    let c = in_ch;
-    let kc = kernel * c;
-    const G: usize = 8;
-    let groups = filters / G;
-    let packed = pack_conv_weights(weights, in_ch, filters, kernel);
-    let mut t = 0;
-    while t + 2 <= t_out {
-        let x0 = &input[t * c..t * c + kc];
-        let x1 = &input[(t + 1) * c..(t + 1) * c + kc];
-        for g in 0..groups {
-            let w = &packed[g * kc * G..(g + 1) * kc * G];
-            let f = g * G;
-            let mut a0 = [0.0f32; G];
-            let mut a1 = [0.0f32; G];
-            a0.copy_from_slice(&biases[f..f + G]);
-            a1.copy_from_slice(&biases[f..f + G]);
-            for j in 0..kc {
-                let wj = &w[j * G..(j + 1) * G];
-                let (v0, v1) = (x0[j], x1[j]);
-                for l in 0..G {
-                    a0[l] += wj[l] * v0;
-                    a1[l] += wj[l] * v1;
-                }
-            }
-            out[t * filters + f..t * filters + f + G].copy_from_slice(&a0);
-            out[(t + 1) * filters + f..(t + 1) * filters + f + G].copy_from_slice(&a1);
-        }
-        for f in groups * G..filters {
-            let wf = &weights[f * kc..(f + 1) * kc];
-            let mut a0 = biases[f];
-            let mut a1 = a0;
-            for j in 0..kc {
-                a0 += wf[j] * x0[j];
-                a1 += wf[j] * x1[j];
-            }
-            out[t * filters + f] = a0;
-            out[(t + 1) * filters + f] = a1;
-        }
-        t += 2;
+    let kc = kernel * in_ch;
+    let groups = filters.div_ceil(G);
+    assert_eq!(packed.len(), groups * kc * G, "conv pack length");
+    let (rows, _) = packed.as_chunks::<G>();
+    let blocked = groups / CONV_BLOCK * CONV_BLOCK;
+    for g in (0..blocked).step_by(CONV_BLOCK) {
+        let w = block_rows::<CONV_BLOCK>(rows, g, kc);
+        blocked_groups(input, w, biases, g, in_ch, kc, t_out, out);
     }
-    if t < t_out {
-        let x0 = &input[t * c..t * c + kc];
-        for g in 0..groups {
-            let w = &packed[g * kc * G..(g + 1) * kc * G];
-            let f = g * G;
-            let mut a0 = [0.0f32; G];
-            a0.copy_from_slice(&biases[f..f + G]);
-            for j in 0..kc {
-                let wj = &w[j * G..(j + 1) * G];
-                let v0 = x0[j];
-                for l in 0..G {
-                    a0[l] += wj[l] * v0;
-                }
-            }
-            out[t * filters + f..t * filters + f + G].copy_from_slice(&a0);
-        }
-        for f in groups * G..filters {
-            let wf = &weights[f * kc..(f + 1) * kc];
-            let mut acc = biases[f];
-            for j in 0..kc {
-                acc += wf[j] * x0[j];
-            }
-            out[t * filters + f] = acc;
+    for g in blocked..groups {
+        blocked_groups::<1>(
+            input,
+            block_rows(rows, g, kc),
+            biases,
+            g,
+            in_ch,
+            kc,
+            t_out,
+            out,
+        );
+    }
+}
+
+/// [`conv1d_blocked`] for the `N` filter groups from `g0`, two steps at
+/// a time; at an odd last step the second chain repeats it unstored.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn blocked_groups<const N: usize>(
+    input: &[f32],
+    w: &[[[f32; G]; N]],
+    biases: &[f32],
+    g0: usize,
+    c: usize,
+    kc: usize,
+    t_out: usize,
+    out: &mut [f32],
+) {
+    let filters = biases.len();
+    let b: [[f32; G]; N] = std::array::from_fn(|n| bias_lanes(biases, (g0 + n) * G));
+    for t in (0..t_out).step_by(2) {
+        let t1 = (t + 1).min(t_out - 1);
+        let (a0, a1) = conv_two_steps(w, &b, &input[t * c..][..kc], &input[t1 * c..][..kc]);
+        for n in 0..N {
+            let f = (g0 + n) * G;
+            let m = (filters - f).min(G);
+            out[t * filters + f..][..m].copy_from_slice(&a0[n][..m]);
+            out[t1 * filters + f..][..m].copy_from_slice(&a1[n][..m]);
         }
     }
 }
@@ -209,12 +265,8 @@ pub fn conv1d_blocked(
 /// activation is produced without materialising the conv or ReLU
 /// planes. Output layout `[(T_out / pool) × F]` — conv steps past the
 /// last full pool window are skipped, exactly as the pool layer drops
-/// them.
-///
-/// Uses the same filter-interleaved weight packing as
-/// [`conv1d_blocked`], so the convolution inner loop vectorises as
-/// eight-lane multiply-then-add; ReLU and the pool max are applied
-/// per lane in the reference tap order.
+/// them. Packs the weights per call; the streaming path uses
+/// [`fused_conv_relu_maxpool_packed`] with the layer's cached pack.
 ///
 /// Bit-identical to `Conv1d → Relu → MaxPool1d` applied in sequence.
 #[allow(clippy::too_many_arguments)]
@@ -231,20 +283,19 @@ pub fn fused_conv_relu_maxpool(
 ) {
     let packed = pack_conv_weights(weights, in_ch, filters, kernel);
     fused_conv_relu_maxpool_packed(
-        input, weights, &packed, biases, time, in_ch, filters, kernel, pool, out,
+        input, &packed, biases, time, in_ch, filters, kernel, pool, out,
     );
 }
 
 /// [`fused_conv_relu_maxpool`] against a caller-provided
 /// [`pack_conv_weights`] pack — the allocation-free form the streaming
-/// workspace path uses with the layer's cached pack. `weights` is still
-/// read for the `F % 8` remainder filters.
-///
-/// Bit-identical to the allocating wrapper (same loops, same pack).
+/// workspace path uses with the layer's cached pack. Two filter groups
+/// × two pool taps per pass over the K·C patch; each pool window's
+/// running max starts at `-inf` and takes its taps, through ReLU, in
+/// tap order, whatever the pool width.
 #[allow(clippy::too_many_arguments)]
 pub fn fused_conv_relu_maxpool_packed(
     input: &[f32],
-    weights: &[f32],
     packed: &[f32],
     biases: &[f32],
     time: usize,
@@ -254,199 +305,143 @@ pub fn fused_conv_relu_maxpool_packed(
     pool: usize,
     out: &mut [f32],
 ) {
-    let t_out = check_conv_dims(input, weights, biases, time, in_ch, filters, kernel);
+    let t_out = check_conv_dims(input, biases, time, in_ch, filters, kernel);
     assert!(pool >= 1 && pool <= t_out, "pool width out of range");
     let p_out = t_out / pool;
     assert_eq!(out.len(), p_out * filters, "fused output length");
-    let c = in_ch;
-    let kc = kernel * c;
-    const G: usize = 8;
-    let groups = filters / G;
+    let kc = kernel * in_ch;
+    let groups = filters.div_ceil(G);
     assert_eq!(packed.len(), groups * kc * G, "conv pack length");
-    for po in 0..p_out {
-        for g in 0..groups {
-            let w = &packed[g * kc * G..(g + 1) * kc * G];
-            let f = g * G;
-            let mut best = [f32::NEG_INFINITY; G];
-            for s in 0..pool {
-                let t = po * pool + s;
-                let x = &input[t * c..t * c + kc];
-                let mut a = [0.0f32; G];
-                a.copy_from_slice(&biases[f..f + G]);
-                for j in 0..kc {
-                    let wj = &w[j * G..(j + 1) * G];
-                    let v = x[j];
-                    for l in 0..G {
-                        a[l] += wj[l] * v;
-                    }
-                }
-                for l in 0..G {
-                    let r = a[l].max(0.0);
-                    if r > best[l] {
-                        best[l] = r;
-                    }
-                }
-            }
-            out[po * filters + f..po * filters + f + G].copy_from_slice(&best);
-        }
-        for f in groups * G..filters {
-            let wf = &weights[f * kc..(f + 1) * kc];
-            let mut best = f32::NEG_INFINITY;
-            for s in 0..pool {
-                let t = po * pool + s;
-                let x = &input[t * c..t * c + kc];
-                let mut acc = biases[f];
-                for j in 0..kc {
-                    acc += wf[j] * x[j];
-                }
-                let r = acc.max(0.0);
-                if r > best {
-                    best = r;
-                }
-            }
-            out[po * filters + f] = best;
-        }
+    let (rows, _) = packed.as_chunks::<G>();
+    let blocked = groups / CONV_BLOCK * CONV_BLOCK;
+    for g in (0..blocked).step_by(CONV_BLOCK) {
+        let w = block_rows::<CONV_BLOCK>(rows, g, kc);
+        fused_groups(input, w, biases, g, in_ch, kc, pool, out);
+    }
+    for g in blocked..groups {
+        fused_groups::<1>(
+            input,
+            block_rows(rows, g, kc),
+            biases,
+            g,
+            in_ch,
+            kc,
+            pool,
+            out,
+        );
     }
 }
 
-/// Dense (fully connected) inference into a caller-provided buffer,
-/// eight output rows at a time (falling to four, then one, on the
-/// tail). Each output is `bias[o] + Σ w[o][j]·x[j]` with `j` ascending —
-/// the accumulators are independent, so the blocking hides FMA latency
-/// without reassociating any sum, and the result is bit-identical to
-/// `Dense::forward`.
-pub fn dense_forward(input: &[f32], weights: &[f32], biases: &[f32], out: &mut [f32]) {
-    let in_len = input.len();
-    let out_len = out.len();
-    assert_eq!(weights.len(), in_len * out_len, "dense weight length");
-    assert_eq!(biases.len(), out_len, "dense bias length");
-    let mut o = 0;
-    while o + 8 <= out_len {
-        let w0 = &weights[o * in_len..(o + 1) * in_len];
-        let w1 = &weights[(o + 1) * in_len..(o + 2) * in_len];
-        let w2 = &weights[(o + 2) * in_len..(o + 3) * in_len];
-        let w3 = &weights[(o + 3) * in_len..(o + 4) * in_len];
-        let w4 = &weights[(o + 4) * in_len..(o + 5) * in_len];
-        let w5 = &weights[(o + 5) * in_len..(o + 6) * in_len];
-        let w6 = &weights[(o + 6) * in_len..(o + 7) * in_len];
-        let w7 = &weights[(o + 7) * in_len..(o + 8) * in_len];
-        let (mut a0, mut a1, mut a2, mut a3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-        let (mut a4, mut a5, mut a6, mut a7) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-        for (j, &v) in input.iter().enumerate() {
-            a0 += w0[j] * v;
-            a1 += w1[j] * v;
-            a2 += w2[j] * v;
-            a3 += w3[j] * v;
-            a4 += w4[j] * v;
-            a5 += w5[j] * v;
-            a6 += w6[j] * v;
-            a7 += w7[j] * v;
-        }
-        out[o] = biases[o] + a0;
-        out[o + 1] = biases[o + 1] + a1;
-        out[o + 2] = biases[o + 2] + a2;
-        out[o + 3] = biases[o + 3] + a3;
-        out[o + 4] = biases[o + 4] + a4;
-        out[o + 5] = biases[o + 5] + a5;
-        out[o + 6] = biases[o + 6] + a6;
-        out[o + 7] = biases[o + 7] + a7;
-        o += 8;
-    }
-    while o + 4 <= out_len {
-        let w0 = &weights[o * in_len..(o + 1) * in_len];
-        let w1 = &weights[(o + 1) * in_len..(o + 2) * in_len];
-        let w2 = &weights[(o + 2) * in_len..(o + 3) * in_len];
-        let w3 = &weights[(o + 3) * in_len..(o + 4) * in_len];
-        let (mut a0, mut a1, mut a2, mut a3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-        for (j, &v) in input.iter().enumerate() {
-            a0 += w0[j] * v;
-            a1 += w1[j] * v;
-            a2 += w2[j] * v;
-            a3 += w3[j] * v;
-        }
-        out[o] = biases[o] + a0;
-        out[o + 1] = biases[o + 1] + a1;
-        out[o + 2] = biases[o + 2] + a2;
-        out[o + 3] = biases[o + 3] + a3;
-        o += 4;
-    }
-    while o < out_len {
-        let row = &weights[o * in_len..(o + 1) * in_len];
-        let mut acc = 0.0f32;
-        for (wv, xv) in row.iter().zip(input) {
-            acc += wv * xv;
-        }
-        out[o] = biases[o] + acc;
-        o += 1;
-    }
-}
-
-/// Transposes a row-major `[out × in]` dense weight matrix into
-/// eight-output-interleaved groups (`packed[g·in·8 + j·8 + l]` = column
-/// `j` of output `g·8 + l`) for [`dense_forward_packed`]. Outputs past
-/// the last full group of eight are not packed; the packed kernel reads
-/// them from the row-major matrix. Packing costs one pass over the
-/// matrix — the same work as a single mat-vec — so it only pays when
-/// the pack is reused across many forward calls (the [`crate::layers::Dense`]
-/// layer caches it against a weight revision counter).
-pub fn pack_dense_weights(weights: &[f32], in_len: usize, out_len: usize) -> Vec<f32> {
-    assert_eq!(weights.len(), in_len * out_len, "dense weight length");
-    const G: usize = 8;
-    let groups = out_len / G;
-    let mut packed = vec![0.0f32; groups * in_len * G];
-    for g in 0..groups {
-        let dst = &mut packed[g * in_len * G..(g + 1) * in_len * G];
-        for l in 0..G {
-            let src = &weights[(g * G + l) * in_len..(g * G + l + 1) * in_len];
-            for (j, &w) in src.iter().enumerate() {
-                dst[j * G + l] = w;
-            }
-        }
-    }
-    packed
-}
-
-/// [`dense_forward`] over a weight pack built by [`pack_dense_weights`].
-/// The interleaved layout turns the weight access into contiguous
-/// eight-lane loads with the input value broadcast, which vectorises as
-/// elementwise multiply-then-add; each lane is still one output's own
-/// accumulator summing `j` ascending from `0.0` with the bias added
-/// last, so the bits match [`dense_forward`] exactly.
-pub fn dense_forward_packed(
+/// [`fused_conv_relu_maxpool_packed`] for the `N` filter groups from
+/// `g0`. Taps go two at a time; at an odd pool width the last pair's
+/// second chain repeats the last tap and is not folded.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn fused_groups<const N: usize>(
     input: &[f32],
-    weights: &[f32],
-    packed: &[f32],
+    w: &[[[f32; G]; N]],
     biases: &[f32],
+    g0: usize,
+    c: usize,
+    kc: usize,
+    pool: usize,
     out: &mut [f32],
 ) {
-    let in_len = input.len();
-    let out_len = out.len();
-    assert_eq!(weights.len(), in_len * out_len, "dense weight length");
-    assert_eq!(biases.len(), out_len, "dense bias length");
-    const G: usize = 8;
-    let groups = out_len / G;
-    assert_eq!(packed.len(), groups * in_len * G, "dense pack length");
-    for g in 0..groups {
-        let w = &packed[g * in_len * G..(g + 1) * in_len * G];
-        let o = g * G;
-        let mut a = [0.0f32; G];
-        for (j, &v) in input.iter().enumerate() {
-            let wj = &w[j * G..(j + 1) * G];
-            for l in 0..G {
-                a[l] += wj[l] * v;
+    let filters = biases.len();
+    let b: [[f32; G]; N] = std::array::from_fn(|n| bias_lanes(biases, (g0 + n) * G));
+    for (po, dst) in out.chunks_exact_mut(filters).enumerate() {
+        let mut best = [[f32::NEG_INFINITY; G]; N];
+        for s in (0..pool).step_by(2) {
+            let t0 = po * pool + s;
+            let t1 = po * pool + (s + 1).min(pool - 1);
+            let (a0, a1) = conv_two_steps(w, &b, &input[t0 * c..][..kc], &input[t1 * c..][..kc]);
+            fold_relu_max(&mut best, &a0);
+            if t1 > t0 {
+                fold_relu_max(&mut best, &a1);
             }
         }
-        for l in 0..G {
-            out[o + l] = biases[o + l] + a[l];
+        for (n, bn) in best.iter().enumerate() {
+            let f = (g0 + n) * G;
+            let m = (filters - f).min(G);
+            dst[f..][..m].copy_from_slice(&bn[..m]);
         }
     }
-    for o in groups * G..out_len {
-        let row = &weights[o * in_len..(o + 1) * in_len];
+}
+
+/// One pool tap into the running max: ReLU, then `>` as the pool layer
+/// compares, written as a select so the lanes vectorise without a
+/// branch each.
+#[inline(always)]
+fn fold_relu_max<const N: usize>(best: &mut [[f32; G]; N], tap: &[[f32; G]; N]) {
+    for (bn, an) in best.iter_mut().zip(tap) {
+        for (b, &a) in bn.iter_mut().zip(an) {
+            let r = a.max(0.0);
+            *b = if r > *b { r } else { *b };
+        }
+    }
+}
+
+/// The naive dense loop — the reference the packed kernel is validated
+/// against: `out[o] = bias[o] + Σ w[o][j]·x[j]`, the sum taken `j`
+/// ascending from `0.0`. Weights row-major `[out × in]`.
+pub fn dense_reference(input: &[f32], weights: &[f32], biases: &[f32], out: &mut [f32]) {
+    let in_len = input.len();
+    assert_eq!(weights.len(), in_len * out.len(), "dense weight length");
+    assert_eq!(biases.len(), out.len(), "dense bias length");
+    for (o, y) in out.iter_mut().enumerate() {
         let mut acc = 0.0f32;
-        for (wv, xv) in row.iter().zip(input) {
+        for (wv, xv) in weights[o * in_len..(o + 1) * in_len].iter().zip(input) {
             acc += wv * xv;
         }
-        out[o] = biases[o] + acc;
+        *y = biases[o] + acc;
+    }
+}
+
+/// Dense (fully connected) inference over a [`pack_dense_weights`]
+/// pack, into a caller-provided buffer: four eight-output groups per
+/// pass over the input, then the tail groups one at a time. Each lane
+/// is one output's own accumulator summing `j` ascending from `0.0`
+/// with the bias added last, so the bits match [`dense_reference`]
+/// exactly.
+pub fn dense_forward_packed(input: &[f32], packed: &[f32], biases: &[f32], out: &mut [f32]) {
+    let in_len = input.len();
+    assert_eq!(biases.len(), out.len(), "dense bias length");
+    let groups = out.len().div_ceil(G);
+    assert_eq!(packed.len(), groups * in_len * G, "dense pack length");
+    let (rows, _) = packed.as_chunks::<G>();
+    let blocked = groups / DENSE_BLOCK * DENSE_BLOCK;
+    for g in (0..blocked).step_by(DENSE_BLOCK) {
+        dense_block::<DENSE_BLOCK>(input, block_rows(rows, g, in_len), biases, g, out);
+    }
+    for g in blocked..groups {
+        dense_block::<1>(input, block_rows(rows, g, in_len), biases, g, out);
+    }
+}
+
+/// `N` output groups from group `g0` in one pass over the input.
+#[inline(always)]
+fn dense_block<const N: usize>(
+    input: &[f32],
+    w: &[[[f32; G]; N]],
+    biases: &[f32],
+    g0: usize,
+    out: &mut [f32],
+) {
+    let mut a = [[0.0f32; G]; N];
+    for (&v, wj) in input.iter().zip(w) {
+        for n in 0..N {
+            for l in 0..G {
+                a[n][l] += wj[n][l] * v;
+            }
+        }
+    }
+    for (n, acc) in a.iter().enumerate() {
+        let o = (g0 + n) * G;
+        let b = bias_lanes(biases, o);
+        let dst = &mut out[o..biases.len().min(o + G)];
+        for ((y, &bl), &al) in dst.iter_mut().zip(&b).zip(acc) {
+            *y = bl + al;
+        }
     }
 }
 
@@ -489,9 +484,15 @@ mod tests {
 
     #[test]
     fn blocked_matches_reference_bitwise_on_odd_shapes() {
-        // Shapes chosen to hit every block tail: odd t_out, filters not
-        // divisible by 4.
-        for (time, c, f, k) in [(7, 3, 5, 2), (9, 1, 4, 3), (4, 2, 7, 4), (5, 6, 1, 5)] {
+        // Shapes chosen to hit every block tail: odd t_out, a lone or
+        // partial filter group.
+        for (time, c, f, k) in [
+            (7, 3, 5, 2),
+            (9, 1, 4, 3),
+            (4, 2, 7, 4),
+            (5, 6, 1, 5),
+            (8, 2, 20, 3),
+        ] {
             let input = pseudo(time * c, 11);
             let w = pseudo(f * k * c, 22);
             let b = pseudo(f, 33);
@@ -499,7 +500,8 @@ mod tests {
             let mut reference = vec![0.0f32; t_out * f];
             let mut blocked = vec![0.0f32; t_out * f];
             conv1d_reference(&input, &w, &b, time, c, f, k, &mut reference);
-            conv1d_blocked(&input, &w, &b, time, c, f, k, &mut blocked);
+            let packed = pack_conv_weights(&w, c, f, k);
+            conv1d_blocked(&input, &packed, &b, time, c, f, k, &mut blocked);
             let rb: Vec<u32> = reference.iter().map(|v| v.to_bits()).collect();
             let bb: Vec<u32> = blocked.iter().map(|v| v.to_bits()).collect();
             assert_eq!(rb, bb, "shape ({time},{c},{f},{k})");

@@ -105,12 +105,11 @@ impl Conv1d {
         &self.b.w
     }
 
-    /// Rebuilds the filter-interleaved weight pack if the weights have
-    /// changed since the last build (or were never packed). Layers with
-    /// fewer than eight filters gain nothing from packing and stay
-    /// unpacked.
+    /// Rebuilds the filter-interleaved weight pack
+    /// ([`kernels::pack_conv_weights`]) if the weights have changed
+    /// since the last build (or were never packed).
     pub fn ensure_packed(&mut self) {
-        if self.filters >= 8 && self.packed_rev != self.rev {
+        if self.packed_rev != self.rev {
             self.packed =
                 kernels::pack_conv_weights(&self.w.w, self.in_ch, self.filters, self.kernel);
             self.packed_rev = self.rev;
@@ -121,7 +120,7 @@ impl Conv1d {
     /// weights — `None` means the caller must use an unpacked kernel
     /// (or call [`Conv1d::ensure_packed`] first).
     pub fn fresh_pack(&self) -> Option<&[f32]> {
-        (self.filters >= 8 && self.packed_rev == self.rev).then_some(&self.packed[..])
+        (self.packed_rev == self.rev).then_some(&self.packed[..])
     }
 }
 
@@ -157,9 +156,12 @@ impl Layer for Conv1d {
                 &mut out,
             );
         } else {
+            // Repacks only when the weights may have changed since the
+            // last pack (`init_weights`, `visit_params`).
+            self.ensure_packed();
             kernels::conv1d_blocked(
                 input,
-                &self.w.w,
+                &self.packed,
                 &self.b.w,
                 self.time,
                 self.in_ch,

@@ -63,9 +63,8 @@ impl Dense {
 
     /// Rebuilds the interleaved weight pack if the weights changed
     /// since the last build; a no-op when the pack is already fresh.
-    /// Only layers with at least one full group of eight outputs pack.
     pub fn ensure_packed(&mut self) {
-        if self.out_len >= 8 && self.packed_rev != self.rev {
+        if self.packed_rev != self.rev {
             self.packed = kernels::pack_dense_weights(&self.w.w, self.in_len, self.out_len);
             self.packed_rev = self.rev;
         }
@@ -75,9 +74,9 @@ impl Dense {
     /// current weights. The immutable workspace inference path uses
     /// this when a prior forward (or
     /// [`crate::network::Network::prepare_inference`]) already paid for
-    /// the pack; `None` means fall back to the unpacked kernel.
+    /// the pack; `None` means fall back to [`kernels::dense_reference`].
     pub fn fresh_pack(&self) -> Option<&[f32]> {
-        (self.out_len >= 8 && self.packed_rev == self.rev).then_some(&self.packed[..])
+        (self.packed_rev == self.rev).then_some(&self.packed[..])
     }
 
     /// Immutable view of the weight matrix (row-major `[out × in]`).
@@ -170,27 +169,16 @@ impl Layer for Dense {
         assert_eq!(input.len(), self.in_len, "dense input length");
         self.input_cache.clear();
         self.input_cache.extend_from_slice(input);
-        let mut out = self.b.w.clone();
+        let mut out = vec![0.0f32; self.out_len];
         if kernels::reference_kernels() {
-            for (o, out_v) in out.iter_mut().enumerate() {
-                let row = &self.w.w[o * self.in_len..(o + 1) * self.in_len];
-                let mut acc = 0.0f32;
-                for (wv, xv) in row.iter().zip(input) {
-                    acc += wv * xv;
-                }
-                *out_v += acc;
-            }
-        } else if self.out_len >= 8 {
-            // Interleaved-pack kernel, bit-identical to the loop above
-            // (each output's accumulator still sums `j` ascending from
-            // 0.0). The pack is cached across calls and rebuilt only
-            // when the weights change, so its cost amortises over a
-            // whole batch of forwards.
-            self.ensure_packed();
-            kernels::dense_forward_packed(input, &self.w.w, &self.packed, &self.b.w, &mut out);
+            kernels::dense_reference(input, &self.w.w, &self.b.w, &mut out);
         } else {
-            // Register-blocked, bit-identical to the loop above.
-            kernels::dense_forward(input, &self.w.w, &self.b.w, &mut out);
+            // Bit-identical to the reference (each output's accumulator
+            // still sums `j` ascending from 0.0). The pack is cached
+            // across calls and rebuilt only when the weights change, so
+            // its cost amortises over a whole batch of forwards.
+            self.ensure_packed();
+            kernels::dense_forward_packed(input, &self.packed, &self.b.w, &mut out);
         }
         out
     }

@@ -24,7 +24,10 @@ pub struct BranchStat {
 }
 
 impl BranchStat {
-    pub(crate) fn from_slice(xs: &[f32]) -> Self {
+    /// The stats of one branch's output: one pass summing `v²` and
+    /// `|v|` and taking the running max of `|v|`, in index order. The
+    /// reference [`BranchStat::extend_from_concat`] is checked against.
+    pub fn from_slice(xs: &[f32]) -> Self {
         let mut sq = 0.0f32;
         let mut abs = 0.0f32;
         let mut peak = 0.0f32;
@@ -33,15 +36,55 @@ impl BranchStat {
             abs += v.abs();
             peak = peak.max(v.abs());
         }
+        Self::finish(xs.len(), sq, abs, peak)
+    }
+
+    fn finish(len: usize, sq: f32, abs: f32, peak: f32) -> Self {
         Self {
-            output_len: xs.len() as u32,
+            output_len: len as u32,
             l2: sq.sqrt(),
-            mean_abs: if xs.is_empty() {
-                0.0
-            } else {
-                abs / xs.len() as f32
-            },
+            mean_abs: if len == 0 { 0.0 } else { abs / len as f32 },
             peak,
+        }
+    }
+
+    /// Appends one stat per branch for branch outputs laid back to back
+    /// in `xs` (a [`SplitConcat`] output), branch `i` being `lens[i]`
+    /// long. Bit-identical to [`BranchStat::from_slice`] on each branch.
+    ///
+    /// Each stat is three latency-bound chains (sum of squares, sum of
+    /// magnitudes, running peak) that must run in index order, so one
+    /// branch at a time keeps the core idle. Here up to four branches
+    /// advance in lockstep, each chain still in its own index order.
+    ///
+    /// # Panics
+    ///
+    /// When `lens` does not sum to `xs.len()`.
+    pub fn extend_from_concat(
+        stats: &mut Vec<BranchStat>,
+        xs: &[f32],
+        lens: impl IntoIterator<Item = usize>,
+    ) {
+        let mut rest = xs;
+        let mut batch: [&[f32]; 4] = [&[]; 4];
+        let mut n = 0;
+        for len in lens {
+            assert!(len <= rest.len(), "branch lengths exceed the activations");
+            let (part, tail) = rest.split_at(len);
+            batch[n] = part;
+            rest = tail;
+            n += 1;
+            if n == batch.len() {
+                stats.extend(lockstep(batch));
+                n = 0;
+            }
+        }
+        assert!(rest.is_empty(), "branch lengths must cover the activations");
+        match n {
+            1 => stats.extend(lockstep([batch[0]])),
+            2 => stats.extend(lockstep([batch[0], batch[1]])),
+            3 => stats.extend(lockstep([batch[0], batch[1], batch[2]])),
+            _ => {}
         }
     }
 
@@ -55,6 +98,37 @@ impl BranchStat {
             vec![1.0 / stats.len().max(1) as f32; stats.len()]
         }
     }
+}
+
+/// [`BranchStat::from_slice`] over `K` slices at once: lockstep over
+/// their common length, then each one's tail alone. The running peak is
+/// a select rather than `f32::max`: a magnitude is never `-0.0`, and a
+/// NaN one fails `>` and keeps the peak, as `max` does, so the bits
+/// agree while the chain is one compare shorter.
+fn lockstep<const K: usize>(parts: [&[f32]; K]) -> [BranchStat; K] {
+    let common = parts.iter().map(|p| p.len()).min().unwrap_or(0);
+    let heads = parts.map(|p| &p[..common]);
+    let mut sums = [(0.0f32, 0.0f32, 0.0f32); K];
+    let step = |(sq, abs, peak): &mut (f32, f32, f32), v: f32| {
+        let a = v.abs();
+        *sq += v * v;
+        *abs += a;
+        *peak = if a > *peak { a } else { *peak };
+    };
+    for i in 0..common {
+        for (s, h) in sums.iter_mut().zip(&heads) {
+            step(s, h[i]);
+        }
+    }
+    for (s, p) in sums.iter_mut().zip(&parts) {
+        for &v in &p[common..] {
+            step(s, v);
+        }
+    }
+    std::array::from_fn(|k| {
+        let (sq, abs, peak) = sums[k];
+        BranchStat::finish(parts[k].len(), sq, abs, peak)
+    })
 }
 
 /// A feed-forward network: a chain of layers whose shapes were validated
@@ -135,9 +209,9 @@ impl Network {
     /// [`Network::infer_scalar`](crate::workspace) path can use the
     /// packed kernels without allocating. Call after the weights settle
     /// (post-training, or before an evaluation sweep); without it
-    /// inference falls back to the unpacked — still bit-identical —
-    /// kernels, which repack (and allocate) per call on the fused conv
-    /// path.
+    /// inference falls back to slower — still bit-identical — kernels:
+    /// the naive dense loop, and a fused conv that packs (and
+    /// allocates) per call.
     pub fn prepare_inference(&mut self) {
         fn prep(layers: &mut [Box<dyn Layer>]) {
             for layer in layers {
@@ -205,12 +279,8 @@ impl Network {
             x = layer.forward(&x);
             if stats.is_empty() {
                 if let Some(split) = layer.as_any().downcast_ref::<SplitConcat>() {
-                    let mut offset = 0;
-                    for b in split.branches() {
-                        let len = b.output_len();
-                        stats.push(BranchStat::from_slice(&x[offset..offset + len]));
-                        offset += len;
-                    }
+                    let lens = split.branches().iter().map(|b| b.output_len());
+                    BranchStat::extend_from_concat(stats, &x, lens);
                 }
             }
         }

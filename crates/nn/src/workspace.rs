@@ -38,7 +38,7 @@ use std::sync::OnceLock;
 /// disarmed hot path never touches the interner and the armed
 /// steady-state path performs zero allocations per span. Only the
 /// whole-pass `nn.infer` span records in coarse armed mode; per-kernel
-/// spans need `prefall_trace::set_detail(true)` — inside a ~30 µs
+/// spans need `prefall_trace::set_detail(true)` — inside a ~10 µs
 /// forward pass the extra events would otherwise blow the ≤ 3 % armed
 /// overhead budget.
 struct TraceNames {
@@ -79,7 +79,6 @@ fn trace_names() -> &'static TraceNames {
 pub struct Workspace {
     buf_a: Vec<f32>,
     buf_b: Vec<f32>,
-    gather: Vec<f32>,
     branch_a: Vec<f32>,
     branch_b: Vec<f32>,
     int8: Int8Buffers,
@@ -97,7 +96,6 @@ impl Workspace {
         for buf in [
             &mut self.buf_a,
             &mut self.buf_b,
-            &mut self.gather,
             &mut self.branch_a,
             &mut self.branch_b,
         ] {
@@ -137,7 +135,6 @@ fn step(rest: &[Box<dyn Layer>], cur: &[f32], nxt: &mut Vec<f32>) -> Option<usiz
                 if let Some(packed) = conv.fresh_pack() {
                     kernels::fused_conv_relu_maxpool_packed(
                         cur,
-                        conv.weights(),
                         packed,
                         conv.biases(),
                         conv.in_time(),
@@ -169,9 +166,9 @@ fn step(rest: &[Box<dyn Layer>], cur: &[f32], nxt: &mut Vec<f32>) -> Option<usiz
         let _span = prefall_trace::trace_detail_span!(trace_names().dense);
         nxt.resize(d.out_len(), 0.0);
         if let Some(packed) = d.fresh_pack() {
-            kernels::dense_forward_packed(cur, d.weights(), packed, d.biases(), nxt);
+            kernels::dense_forward_packed(cur, packed, d.biases(), nxt);
         } else {
-            kernels::dense_forward(cur, d.weights(), d.biases(), nxt);
+            kernels::dense_reference(cur, d.weights(), d.biases(), nxt);
         }
         return Some(1);
     }
@@ -196,8 +193,18 @@ fn step(rest: &[Box<dyn Layer>], cur: &[f32], nxt: &mut Vec<f32>) -> Option<usiz
     if let Some(conv) = layer.as_any().downcast_ref::<Conv1d>() {
         let _span = prefall_trace::trace_detail_span!(trace_names().conv);
         nxt.resize(conv.output_len(), 0.0);
-        if kernels::reference_kernels() {
-            kernels::conv1d_reference(
+        match conv.fresh_pack() {
+            Some(packed) if !kernels::reference_kernels() => kernels::conv1d_blocked(
+                cur,
+                packed,
+                conv.biases(),
+                conv.in_time(),
+                conv.in_channels(),
+                conv.filters(),
+                conv.kernel(),
+                nxt,
+            ),
+            _ => kernels::conv1d_reference(
                 cur,
                 conv.weights(),
                 conv.biases(),
@@ -206,18 +213,7 @@ fn step(rest: &[Box<dyn Layer>], cur: &[f32], nxt: &mut Vec<f32>) -> Option<usiz
                 conv.filters(),
                 conv.kernel(),
                 nxt,
-            );
-        } else {
-            kernels::conv1d_blocked(
-                cur,
-                conv.weights(),
-                conv.biases(),
-                conv.in_time(),
-                conv.in_channels(),
-                conv.filters(),
-                conv.kernel(),
-                nxt,
-            );
+            ),
         }
         return Some(1);
     }
@@ -308,7 +304,6 @@ impl Network {
         let Workspace {
             buf_a,
             buf_b,
-            gather,
             branch_a,
             branch_b,
             ..
@@ -326,19 +321,16 @@ impl Network {
                 };
                 let _split_span = prefall_trace::trace_detail_span!(trace_names().split);
                 nxt.clear();
-                let tap = stats.as_deref().is_some_and(|s| s.is_empty());
                 for (bi, branch) in split.branches().iter().enumerate() {
-                    gather_into(split, cur, bi, gather);
-                    branch_a.clear();
-                    branch_a.extend_from_slice(gather);
+                    gather_into(split, cur, bi, branch_a);
                     let res_in_a = run_chain(branch.layers(), branch_a, branch_b)?;
-                    let out = if res_in_a { &*branch_a } else { &*branch_b };
-                    if tap {
-                        if let Some(s) = stats.as_deref_mut() {
-                            s.push(BranchStat::from_slice(out));
-                        }
-                    }
-                    nxt.extend_from_slice(out);
+                    nxt.extend_from_slice(if res_in_a { branch_a } else { branch_b });
+                }
+                // Attribution taps the first split only, all its
+                // branches in one lockstep pass over the concatenation.
+                if let Some(s) = stats.as_deref_mut().filter(|s| s.is_empty()) {
+                    let lens = split.branches().iter().map(|b| b.output_len());
+                    BranchStat::extend_from_concat(s, nxt, lens);
                 }
                 in_a = !in_a;
                 i += 1;

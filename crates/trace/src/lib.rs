@@ -21,7 +21,7 @@
 //!   pool tasks, whole forward passes) record whenever armed; per-kernel
 //!   spans sit behind the opt-in **detail level** ([`set_detail`],
 //!   [`trace_detail_span!`]). An emitted event costs ~2× a monotonic
-//!   clock read, which is real money inside a 30 µs forward pass —
+//!   clock read, which is real money inside a ~10 µs forward pass —
 //!   coarse mode keeps the armed streaming detector within its ≤ 3 %
 //!   overhead budget, detail mode buys the per-layer decomposition when
 //!   you ask for it.
@@ -192,6 +192,19 @@ impl RingBuf {
         }
     }
 
+    /// Empties the ring and sizes it for `cap` events, keeping the
+    /// allocation when the size is unchanged (re-arming at the same
+    /// capacity then touches no allocator).
+    fn reset(&mut self, cap: usize) {
+        if self.events.capacity() == cap.max(1) {
+            self.events.clear();
+            self.head = 0;
+            self.dropped = 0;
+        } else {
+            *self = Self::with_capacity(cap);
+        }
+    }
+
     #[inline]
     fn push(&mut self, e: Event) {
         if self.events.len() < self.events.capacity() {
@@ -281,8 +294,7 @@ pub fn arm(capacity_per_thread: usize) {
     };
     CAPACITY.store(cap, Ordering::Relaxed);
     for ring in registry().lock().expect("trace registry poisoned").iter() {
-        let mut buf = ring.buf.lock().expect("trace ring poisoned");
-        *buf = RingBuf::with_capacity(cap);
+        ring.buf.lock().expect("trace ring poisoned").reset(cap);
     }
     // Initialise the epoch before the first event so early timestamps
     // don't race the OnceLock.
